@@ -17,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,9 +52,17 @@ from .simulate import (
 from .stable import EXACT_RATIONAL, FLOAT64_STABLE
 from . import tables
 
-__all__ = ["OutputRecord", "RATIONAL_N_CAP", "main"]
+__all__ = ["FLOAT_SIGMA_N_CAP", "OutputRecord", "RATIONAL_N_CAP", "main"]
 
 RATIONAL_N_CAP = 64
+# Largest float covariance matrix the CLI builds.  The Sigma rows cost
+# O(n^3) Python steps in all and each Jacobi sweep O(n^3) in numpy; at this
+# size `eigen --check-conjecture` takes up to 4 s (2-vCPU Xeon VM) and 45 MB.
+# Do not raise it past about 450 while the rows come from the unguarded
+# closed-form scan: there its q^(k-1) start term leaves the normal float
+# range on masses still above 1e-290 (at n = 500, p = 0.83 the scan is off
+# by 1.6e-8 relative).
+FLOAT_SIGMA_N_CAP = 256
 
 _FRACTION_TAG = "/"
 
@@ -170,6 +177,15 @@ def _check_rational_cap(args, n: int):
         )
 
 
+def _check_sigma_cap(args, n: int):
+    """Refuse a covariance matrix larger than its mode's cap, before building it."""
+    _check_rational_cap(args, n)
+    if getattr(args, "mode", "float") == "float" and n > FLOAT_SIGMA_N_CAP:
+        raise ValueError(
+            f"{args.command} supports n <= {FLOAT_SIGMA_N_CAP} in float mode (got n = {n})"
+        )
+
+
 def _float_only(args):
     if getattr(args, "mode", "float") == "rational":
         raise ValueError(f"{args.command} is Monte Carlo based and supports --mode float only")
@@ -189,13 +205,6 @@ def _read_numbers(path: str) -> list[float]:
     if not pieces:
         raise ValueError(f"no values in {path}")
     return [float(piece) for piece in pieces]
-
-
-def _pmap(fn, items, threads: int) -> list:
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +322,7 @@ def _cmd_table3(args) -> CommandOutput:
 
 
 def _cmd_sigma(args) -> CommandOutput:
-    _check_rational_cap(args, args.n)
+    _check_sigma_cap(args, args.n)
     params = _params_of(args)
     cov = sigma(args.n, params, _mode_of(args))
     header = [f"c{j}" for j in range(1, args.n + 1)]
@@ -330,7 +339,7 @@ def _cmd_sigma(args) -> CommandOutput:
                 values.append((f"lambda({idx})", float(lam)))
                 rows.append([f"lambda({idx})", float(lam)] + [None] * (args.n - 2))
         if args.check_conjecture:
-            report = max_eigen_report(args.n, params, cov)
+            report = max_eigen_report(args.n, params, cov, spectrum=spectrum)
             extra = [
                 ("lambda_max", report.lambda_max),
                 ("two_p", report.two_p),
@@ -345,7 +354,7 @@ def _cmd_sigma(args) -> CommandOutput:
 
 
 def _cmd_eigen(args) -> CommandOutput:
-    _check_rational_cap(args, args.n)
+    _check_sigma_cap(args, args.n)
     params = _params_of(args)
     cov = sigma(args.n, params, _mode_of(args))
     spectrum = eigen_spectrum(cov)
@@ -355,7 +364,7 @@ def _cmd_eigen(args) -> CommandOutput:
     values.append(("two_p_eigenpair_residual", residual))
     rows.append(["two_p_eigenpair_residual", residual])
     if args.check_conjecture:
-        report = max_eigen_report(args.n, params, cov)
+        report = max_eigen_report(args.n, params, cov, spectrum=spectrum)
         extra = [
             ("lambda_max", report.lambda_max),
             ("two_p", report.two_p),
@@ -392,7 +401,7 @@ def _cmd_selection_bias(args) -> CommandOutput:
 
 
 def _cmd_accidental_bias(args) -> CommandOutput:
-    _check_rational_cap(args, args.n)
+    _check_sigma_cap(args, args.n)
     params = _params_of(args)
     cov = sigma(args.n, params, _mode_of(args))
     if args.z is not None:
@@ -416,6 +425,7 @@ def _cmd_ranktest(args) -> CommandOutput:
     n = len(scores)
     if args.n is not None and args.n != n:
         raise ValueError(f"--n {args.n} does not match {n} scores from {args.scores}")
+    _check_sigma_cap(args, n)
     params = _params_of(args)
     cov = sigma(n, params)
     variance = rank_statistic_variance(scores, cov)

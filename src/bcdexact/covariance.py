@@ -20,8 +20,8 @@ for l >= |k| of matching parity, else 0.
 
 sigma(n) always carries the vector v = (sqrt(2)/2, -sqrt(2)/2, 0, ..., 0)
 as an eigenvector with eigenvalue 2p; `verify_2p_eigenpair` measures the
-residual and `eigen_spectrum` computes the whole spectrum with a cyclic
-Jacobi rotation sweep (no library eigensolver, so tests can cross-check
+residual and `eigen_spectrum` computes the whole spectrum with round-robin
+Jacobi rotation sweeps (no library eigensolver, so tests can cross-check
 against one).
 """
 
@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DesignParams, Number, transition_prob
-from .exact import pmf_dn
+from .exact import _two_sided_scan, pmf_dn
 from .stable import FLOAT64_STABLE, NumericMode, stable_term_product
 
 __all__ = [
@@ -261,32 +261,94 @@ class AssignmentCovariance:
         return float(z @ a @ z)
 
 
+def _first_return_table(n: int, params: DesignParams, one: Number) -> np.ndarray:
+    """F[m, u] = fhat_m(u) for 0 <= m, u < n, as cumulative sums over steps.
+
+    Each row of first-return masses comes from the ratio recurrence
+
+        f_m(m) = p^m,  f_m(l + 2) = f_m(l) * l (l + 1) / ((a + 1)(b + 1)) * p q
+
+    with a = (l + m)/2 steps toward balance and b = (l - m)/2 away, so no
+    binomial is ever formed.  Row 0 is the degenerate visit, fhat_0 = 1.
+    """
+    p, q = params.p, params.q
+    f = np.full((n, n), 0 * one)  # object dtype for Fractions, else float64
+    f[0, 0] = one
+    for m in range(1, n):
+        term = one * p**m
+        for l in range(m, n, 2):
+            f[m, l] = term
+            a, b = (l + m) // 2, (l - m) // 2
+            term = term * (l * (l + 1)) / ((a + 1) * (b + 1)) * (p * q)
+    return np.cumsum(f, axis=1)
+
+
+def _imbalance_laws(n: int, params: DesignParams, mode: NumericMode):
+    """Signed laws {k: P(D_m = k)} for m = 0 .. n - 1.
+
+    Float mode reads every mass off the closed-form ratio scan, one scan
+    per |k| over all m of its parity; rational mode uses the exact pmf_dn.
+    """
+    if mode.is_exact:
+        return [dict(pmf_dn(m, params, mode).masses) for m in range(n)]
+    laws: list[dict[int, Number]] = [{} for _ in range(n)]
+    for k in range(n):
+        ms = range(k, n, 2)
+        for m, two_sided in zip(ms, _two_sided_scan(k, params.p, ms)):
+            if k:
+                laws[m][k] = laws[m][-k] = two_sided / 2
+            else:
+                laws[m][0] = two_sided
+    return laws
+
+
+def _row_weights(i: int, law: dict[int, Number], params: DesignParams, zero: Number):
+    """Weights w(m) over m = |k + 1| and the constant c of Sigma row i.
+
+    With P_k = P(D_{i-1} = k), the joint P(T_i = 1, T_j = 1) is
+    sum_m w(m) fhat_m(j - i - 1) + c, where
+
+        w(m) = sum_{|k+1| = m} P_k t_k (1/2 - t_{k+1}),  c = sum_k P_k t_k t_{k+1}.
+
+    Only m of the parity of i (and m <= i) can carry weight.
+    """
+    w = np.full(i + 1, zero)
+    c = zero
+    half = params.half
+    for k, mass in law.items():
+        t_k, t_up = transition_prob(params, k), transition_prob(params, k + 1)
+        w[abs(k + 1)] += mass * t_k * (half - t_up)
+        c += mass * t_k * t_up
+    return w, c
+
+
 def sigma(
     n: int,
     params: DesignParams,
     mode: NumericMode | str = FLOAT64_STABLE,
 ) -> AssignmentCovariance:
-    """Covariance matrix of the first n assignments, sigma_ij = 4 P_ij - 1."""
+    """Covariance matrix of the first n assignments, sigma_ij = 4 P_ij - 1.
+
+    Row i above the diagonal is one vector-matrix product over the
+    cumulative first-return table: sigma_{i, i+1+u} = 4 (w_i . F[:, u] +
+    c_i) - 1 for u = 0 .. n - i - 1.  The lower triangle mirrors the upper
+    one, so the matrix is exactly symmetric with an exact unit diagonal.
+    joint_assignment computes the same entries one at a time and is kept
+    as the cross-check.
+    """
     mode = NumericMode.coerce(mode)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if mode.is_exact:
-        params = params.as_exact()
-        out = np.empty((n, n), dtype=object)
-        one = Fraction(1)
-    else:
-        params = params.as_float()
-        out = np.empty((n, n), dtype=float)
-        one = 1.0
-    provider = _pmf_row_provider(params, mode)
-    table = FirstVisitTable(params, mode)
-    for i in range(1, n + 1):
-        out[i - 1, i - 1] = one
-        for j in range(i + 1, n + 1):
-            joint = joint_assignment(i, j, params, mode, provider, table)
-            value = 4 * joint - 1
-            out[i - 1, j - 1] = value
-            out[j - 1, i - 1] = value
+    params = params.as_exact() if mode.is_exact else params.as_float()
+    one = Fraction(1) if mode.is_exact else 1.0
+    table = _first_return_table(n, params, one)
+    out = np.full((n, n), one)
+    for i, law in enumerate(_imbalance_laws(n - 1, params, mode), start=1):
+        w, c = _row_weights(i, law, params, 0 * one)
+        m = slice(i % 2, i + 1, 2)
+        out[i - 1, i:] = 4 * (w[m] @ table[m, : n - i] + c) - 1
+    upper = np.triu_indices(n, 1)
+    out[upper[::-1]] = out[upper]
     return AssignmentCovariance(n=n, params=params, matrix=out)
 
 
@@ -299,18 +361,44 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(strict * strict)))
 
 
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One Jacobi sweep as steps of disjoint index pairs (i < j).
+
+    The round-robin tournament ordering of Brent & Luk (1985): index 0
+    stays put while the others rotate one seat per step, so every pair
+    meets exactly once per sweep and no index appears twice in a step.
+    Even n takes n - 1 steps of n/2 pairs.  Odd n is padded with a dummy
+    index n whose pairs are dropped: n steps of (n - 1)/2 pairs.
+    """
+    size = n + n % 2
+    seats = list(range(size))
+    steps = []
+    for _ in range(size - 1):
+        pairs = [
+            (min(a, b), max(a, b))
+            for a, b in zip(seats[: size // 2], seats[::-1])
+            if max(a, b) < n
+        ]
+        steps.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    return steps
+
+
 def eigen_spectrum(
     cov: AssignmentCovariance | np.ndarray,
     tol: float = 1e-10,
     max_rotations: int | None = None,
 ) -> np.ndarray:
-    """All eigenvalues, descending, via cyclic Jacobi rotation sweeps.
+    """All eigenvalues, descending, via round-robin Jacobi rotation sweeps.
 
     Each rotation zeroes one off-diagonal pair through an orthogonal
     similarity, preserving the trace and (by Wielandt-Hoffman) pinning the
     eigenvalue error to the off-diagonal Frobenius norm, which must fall
-    below tol.  Raises ConvergenceError if the rotation budget (default
-    100 n^2) runs out first.
+    below tol.  A sweep runs the steps of `_round_robin`; the
+    rotations of one step act on disjoint rows and columns, so they
+    commute and are applied together as one array update.  Raises
+    ConvergenceError if the rotation budget (default 100 n^2) runs out
+    first.
     """
     a = cov.as_array() if isinstance(cov, AssignmentCovariance) else np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -325,33 +413,33 @@ def eigen_spectrum(
         max_rotations = 100 * n * n
 
     skip = tol / (2.0 * n)
+    schedule = _round_robin(n)
     rotations = 0
     while _off_norm(a) > tol:
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                apq = a[i, j]
-                if abs(apq) <= skip:
-                    continue
-                if rotations >= max_rotations:
-                    raise ConvergenceError(
-                        f"no convergence after {rotations} rotations "
-                        f"(off-diagonal norm {_off_norm(a):.3e} > tol {tol:g})"
-                    )
-                rotations += 1
-                tau = (a[j, j] - a[i, i]) / (2.0 * apq)
-                if tau >= 0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_i, row_j = a[i, :].copy(), a[j, :].copy()
-                a[i, :] = c * row_i - s * row_j
-                a[j, :] = s * row_i + c * row_j
-                col_i, col_j = a[:, i].copy(), a[:, j].copy()
-                a[:, i] = c * col_i - s * col_j
-                a[:, j] = s * col_i + c * col_j
-                a[i, j] = a[j, i] = 0.0
+        for i, j in schedule:
+            apq = a[i, j]
+            active = np.abs(apq) > skip
+            count = int(np.count_nonzero(active))
+            if not count:
+                continue
+            if rotations + count > max_rotations:
+                raise ConvergenceError(
+                    f"no convergence after {rotations} rotations "
+                    f"(off-diagonal norm {_off_norm(a):.3e} > tol {tol:g})"
+                )
+            rotations += count
+            i, j, apq = i[active], j[active], apq[active]
+            tau = (a[j, j] - a[i, i]) / (2.0 * apq)
+            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            row_i, row_j = a[i, :], a[j, :]
+            a[i, :] = c[:, None] * row_i - s[:, None] * row_j
+            a[j, :] = s[:, None] * row_i + c[:, None] * row_j
+            col_i, col_j = a[:, i], a[:, j]
+            a[:, i] = col_i * c - col_j * s
+            a[:, j] = col_i * s + col_j * c
+            a[i, j] = a[j, i] = 0.0
     return np.sort(np.diag(a))[::-1]
 
 
@@ -410,16 +498,20 @@ def max_eigen_report(
     params: DesignParams,
     cov: AssignmentCovariance | None = None,
     tol: float = 1e-10,
+    spectrum: np.ndarray | None = None,
 ) -> MaxEigenReport:
     """Compare the computed spectral maximum with 2p.
 
     Whether 2p is always the maximum is an open question, so this is a
     report for inspection, never an assertion: callers log the gap instead
-    of failing on it.
+    of failing on it.  A caller that already holds the descending spectrum
+    passes it as `spectrum`, and then neither Sigma nor the spectrum is
+    computed again.
     """
-    if cov is None:
-        cov = sigma(n, params)
-    spectrum = eigen_spectrum(cov, tol=tol)
+    if spectrum is None:
+        if cov is None:
+            cov = sigma(n, params)
+        spectrum = eigen_spectrum(cov, tol=tol)
     return MaxEigenReport(
         n=n,
         p=float(params.p),

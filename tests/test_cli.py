@@ -7,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
+import bcdexact.cli
 import bcdexact.covariance
-from bcdexact.cli import RATIONAL_N_CAP, OutputRecord, main
-from bcdexact.covariance import ConvergenceError
+from bcdexact.cli import FLOAT_SIGMA_N_CAP, RATIONAL_N_CAP, OutputRecord, main
+from bcdexact.covariance import (
+    ConvergenceError,
+    eigen_spectrum,
+    max_eigen_report,
+    sigma,
+    verify_2p_eigenpair,
+)
+from bcdexact.design import DesignParams
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -351,6 +359,54 @@ def test_mismatched_score_count_is_an_error(tmp_path, capsys):
     )
     assert code == 2
     assert "does not match" in err
+
+
+@pytest.mark.parametrize("command", ["sigma", "eigen", "accidental-bias", "ranktest"])
+def test_float_sigma_above_the_cap_is_refused_before_any_build(
+    command, tmp_path, capsys, monkeypatch
+):
+    built = []
+    monkeypatch.setattr(bcdexact.cli, "sigma", lambda *args, **kwargs: built.append(args))
+    n = FLOAT_SIGMA_N_CAP + 1
+    if command == "ranktest":
+        scores = tmp_path / "scores.txt"
+        write_values(scores, range(n))
+        argv = ["ranktest", "--scores", str(scores), "--p", "0.7"]
+    else:
+        argv = [command, "--n", str(n), "--p", "0.7"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"n <= {FLOAT_SIGMA_N_CAP}" in err
+    assert built == []
+
+
+def test_check_conjecture_solves_the_spectrum_once(capsys, monkeypatch):
+    n, params = 12, DesignParams(0.7)
+    cov = sigma(n, params)
+    spectrum = eigen_spectrum(cov)
+    report = max_eigen_report(n, params, cov)  # solves the spectrum a second time
+    want = "index,eigenvalue\n" + "".join(
+        f"{idx},{lam!r}\n" for idx, lam in enumerate(spectrum.tolist(), start=1)
+    )
+    want += f"two_p_eigenpair_residual,{verify_2p_eigenpair(n, params, cov=cov)!r}\n"
+    want += f"lambda_max,{report.lambda_max!r}\ntwo_p,{report.two_p!r}\n"
+    want += f"gap,{report.gap!r}\nagrees_within_1e-8,{report.agrees}\n"
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigen_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(bcdexact.cli, "eigen_spectrum", counted)
+    monkeypatch.setattr(bcdexact.covariance, "eigen_spectrum", counted)
+    code, out, _ = run_cli(capsys, "eigen", "--n", str(n), "--p", "0.7", "--check-conjecture")
+    assert code == 0
+    assert len(calls) == 1
+    assert out == want
+    calls.clear()
+    code, _, _ = run_cli(capsys, "sigma", "--n", "5", "--p", "0.7", "--eigen", "--check-conjecture")
+    assert code == 0 and len(calls) == 1
 
 
 def test_convergence_failure_exits_with_code_three(capsys, monkeypatch):

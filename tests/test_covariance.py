@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 import bruteforce as bf
+from bcdexact.cli import FLOAT_SIGMA_N_CAP
 from bcdexact.covariance import (
     AssignmentCovariance,
     ConvergenceError,
+    FirstVisitTable,
+    _first_return_table,
+    _round_robin,
     cond_assignment,
     eigen_spectrum,
     first_visit,
@@ -23,6 +27,8 @@ from bcdexact.covariance import (
     verify_2p_eigenpair,
 )
 from bcdexact.design import DesignParams
+from bcdexact.exact import _two_sided_scan, dp_pmf_dn, pmf_dn
+from bcdexact.stable import FLOAT64_STABLE
 
 P23 = DesignParams(Fraction(2, 3))
 P35 = DesignParams(Fraction(3, 5))
@@ -175,6 +181,56 @@ def test_matrix_against_exhaustive_enumeration():
                 assert cov.entry(i, j) == bf.sigma_entry(i, j, p), (i, j, p)
 
 
+def _per_entry_sigma(n, params, mode=FLOAT64_STABLE):
+    """Upper triangle of Sigma from one joint_assignment call per entry."""
+    laws = {m: pmf_dn(m, params, mode) for m in range(n)}
+    table = FirstVisitTable(params, mode)
+    return {
+        (i, j): 4 * joint_assignment(i, j, params, mode, lambda m, k: laws[m].mass(k), table) - 1
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+    }
+
+
+@pytest.mark.parametrize("p", [0.5, 0.55, 0.7, 0.9, 0.95, 1.0])
+def test_float_rows_match_the_per_entry_route(p):
+    n = 64
+    params = DesignParams(p)
+    cov = sigma(n, params)
+    for (i, j), want in _per_entry_sigma(n, params).items():
+        assert abs(cov.entry(i, j) - want) <= 1e-14, (i, j)
+
+
+@pytest.mark.parametrize("p", [Fraction(3, 5), Fraction(7, 10), Fraction(19, 20)])
+def test_rational_rows_equal_the_per_entry_route_and_enumeration(p):
+    n = 16
+    params = DesignParams(p)
+    cov = sigma(n, params, "rational")
+    for (i, j), want in _per_entry_sigma(n, params, "rational").items():
+        assert cov.entry(i, j) == want, (i, j)
+    for i, j in [(1, 2), (2, 7), (3, 8), (5, 9), (8, 10), (1, 10)]:
+        assert cov.entry(i, j) == bf.sigma_entry(i, j, p), (i, j)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.55, 0.95, 1.0])
+def test_row_sources_hold_at_the_float_size_cap(p):
+    """The closed-form scan and the first-return recurrence stay accurate at
+    the largest float Sigma the command line builds."""
+    params = DesignParams(p)
+    for m in (FLOAT_SIGMA_N_CAP - 1, FLOAT_SIGMA_N_CAP):
+        oracle = dp_pmf_dn(m, params)
+        ks = range(m % 2, m + 1, 2)
+        for k, got in zip(ks, (_two_sided_scan(k, p, [m])[0] for k in ks)):
+            want = oracle.two_sided(k)
+            if want >= 1e-290:
+                assert abs(got - want) <= 1e-12 * want, (m, k)
+    table = _first_return_table(FLOAT_SIGMA_N_CAP, params, 1.0)
+    visits = FirstVisitTable(params)
+    top = FLOAT_SIGMA_N_CAP - 1
+    for m, u in [(1, 0), (1, 1), (1, 2), (2, 40), (7, 99), (30, top), (128, top), (top, top)]:
+        assert table[m, u] == pytest.approx(visits.f_hat(m, u), rel=1e-12, abs=1e-300), (m, u)
+
+
 def test_quadratic_form_and_validation():
     cov = sigma(4, DesignParams(0.75))
     z = np.array([1.0, 0.0, 0.0, 0.0])
@@ -199,7 +255,20 @@ def test_two_by_two_spectrum_is_2p_and_2q():
         assert spectrum[1] == pytest.approx(2 - 2 * p, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [3, 8, 17, 30])
+@pytest.mark.parametrize("n", [2, 3, 6, 7, 16, 33])
+def test_round_robin_meets_every_pair_once_per_sweep(n):
+    steps = _round_robin(n)
+    assert len(steps) == n - 1 + n % 2
+    seen = []
+    for i, j in steps:
+        assert len(i) == len(j) == n // 2
+        assert np.all(i < j)
+        assert len(set(i) | set(j)) == n - n % 2  # disjoint within the step
+        seen += zip(i.tolist(), j.tolist())
+    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+@pytest.mark.parametrize("n", [3, 8, 17, 30, 33, 65])
 @pytest.mark.parametrize("p", [0.5, 0.7, 0.9, 1.0])
 def test_jacobi_agrees_with_the_library_solver(n, p):
     arr = sigma(n, DesignParams(p)).as_array()
