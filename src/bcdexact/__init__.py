@@ -43,7 +43,6 @@ from .exact import (
     dp_pmf_dn,
     pmf_at,
     pmf_dn,
-    stationary_pmf,
     steady_state_threshold,
     var_dn,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "selection_bias_step",
     "sigma",
     "stable_term_product",
-    "stationary_pmf",
     "steady_state_threshold",
     "threshold_grid",
     "total_bias_closed_form",

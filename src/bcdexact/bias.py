@@ -56,10 +56,9 @@ def selection_bias_step(
     mode = NumericMode.coerce(mode)
     if j < 1:
         raise ValueError(f"draw index must be >= 1, got {j}")
+    params = mode.design(params)
     balanced = pmf_at(j - 1, 0, params, mode)
-    half = params.half if mode.is_exact else 0.5
-    p = params.p if mode.is_exact else float(params.p)
-    return half * balanced + p * (1 - balanced)
+    return mode.half * balanced + mode.cast(params.p) * (1 - balanced)
 
 
 @dataclass(frozen=True)
@@ -117,15 +116,11 @@ def total_bias_closed_form(
     mode = NumericMode.coerce(mode)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if mode.is_exact:
-        params = params.as_exact()
-        p, q = Fraction(params.p), Fraction(params.q)
-        half, one = Fraction(1, 2), Fraction(1)
-    else:
-        p, q = float(params.p), float(params.q)
-        half, one = 0.5, 1.0
+    params = mode.design(params)
+    p, q = mode.cast(params.p), mode.cast(params.q)
+    half, one = mode.half, mode.one
 
-    correction = 0 * one
+    correction = mode.zero
     p_power = one
     for m in range(1, (n - 1) // 2 + 1):
         p_power = p_power * p
@@ -135,20 +130,18 @@ def total_bias_closed_form(
         for l in range(1, m):
             binom = binom * (m + l) / l
             q_power = q_power * q
-            if mode.is_exact:
-                inner += Fraction(m - l, m + l) * binom * q_power
-            else:
-                inner += ((m - l) / (m + l)) * binom * q_power
+            inner += mode.cast(m - l) / (m + l) * binom * q_power
         correction = correction + p_power * inner
     return half + (n - 1) * p - (p - half) * correction
 
 
 def asymptotic_excess(params: DesignParams) -> Number:
     """Limit of excess/n: (r - 1)/(4r), degenerating to 1/4 at p = 1."""
+    half = params.half
     if params.is_deterministic:
-        return Fraction(1, 4) if params.is_exact else 0.25
+        return half / 2
     if params.is_fair:
-        return Fraction(0) if params.is_exact else 0.0
+        return 0 * half
     r = params.r
     return (r - 1) / (4 * r)
 

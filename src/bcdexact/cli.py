@@ -22,16 +22,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bias import (
-    accidental_bias,
-    selection_bias_report,
-    selection_bias_step,
-    total_bias_closed_form,
-)
+from .bias import accidental_bias, selection_bias_report, total_bias_closed_form
 from .covariance import (
     ConvergenceError,
     eigen_spectrum,
-    joint_assignment,
     max_eigen_report,
     sigma,
     two_p_eigenvector,
@@ -269,7 +263,7 @@ def _cmd_threshold(args) -> CommandOutput:
     ks = _parse_list(args.k, int)
     ps = [parse_probability(text) for text in _parse_list(args.p, str)]
     tols = _parse_list(args.tol, float)
-    grid = tables.threshold_grid(ks, ps, tols, n_max=args.n_max, threads=args.threads)
+    grid = tables.threshold_grid(ks, ps, tols, n_max=args.n_max)
     rows = []
     values = []
     for cell in grid:
@@ -288,9 +282,7 @@ def _cmd_table2(args) -> CommandOutput:
     even_n = _parse_list(args.even_n, int)
     odd_n = _parse_list(args.odd_n, int)
     ps = _parse_list(args.p, float)
-    grid = tables.variance_grid(
-        even_n, odd_n, ps, places=args.places, threads=args.threads
-    )
+    grid = tables.variance_grid(even_n, odd_n, ps, places=args.places)
     rows = [[r["parity"], r["n"], r["p"], r["variance"], r["rounded"]] for r in grid]
     values = [
         (f"parity={r['parity']},n={'inf' if r['n'] is None else r['n']},p={r['p']}", r["variance"])
@@ -307,7 +299,7 @@ def _cmd_table2(args) -> CommandOutput:
 def _cmd_table3(args) -> CommandOutput:
     ns = _parse_list(args.n, int)
     ps = _parse_list(args.p, float)
-    grid = tables.selection_bias_grid(ns, ps, places=args.places, threads=args.threads)
+    grid = tables.selection_bias_grid(ns, ps, places=args.places)
     rows = [[r["n"], r["p"], r["average_excess"], r["rounded"]] for r in grid]
     values = [
         (f"n={'inf' if r['n'] is None else r['n']},p={r['p']}", r["average_excess"])
@@ -321,8 +313,21 @@ def _cmd_table3(args) -> CommandOutput:
     )
 
 
+def _conjecture_values(n: int, params: DesignParams, spectrum) -> list[tuple]:
+    """The four rows of the largest-eigenvalue-versus-2p diagnostic."""
+    report = max_eigen_report(n, params, spectrum=spectrum)
+    return [
+        ("lambda_max", report.lambda_max),
+        ("two_p", report.two_p),
+        ("gap", report.gap),
+        ("agrees_within_1e-8", report.agrees),
+    ]
+
+
 def _cmd_sigma(args) -> CommandOutput:
     _check_sigma_cap(args, args.n)
+    if (args.eigen or args.check_conjecture) and args.n < 2:
+        raise ValueError("need n >= 2")
     params = _params_of(args)
     cov = sigma(args.n, params, _mode_of(args))
     header = [f"c{j}" for j in range(1, args.n + 1)]
@@ -339,16 +344,9 @@ def _cmd_sigma(args) -> CommandOutput:
                 values.append((f"lambda({idx})", float(lam)))
                 rows.append([f"lambda({idx})", float(lam)] + [None] * (args.n - 2))
         if args.check_conjecture:
-            report = max_eigen_report(args.n, params, cov, spectrum=spectrum)
-            extra = [
-                ("lambda_max", report.lambda_max),
-                ("two_p", report.two_p),
-                ("gap", report.gap),
-                ("agrees_within_1e-8", report.agrees),
-            ]
+            extra = _conjecture_values(args.n, params, spectrum)
             values.extend(extra)
-            for label, value in extra:
-                rows.append([label, value] + [None] * (args.n - 2))
+            rows.extend([label, value] + [None] * (args.n - 2) for label, value in extra)
     inputs = [("n", args.n), ("p", params.p)]
     return CommandOutput(_record(args, inputs, values), header, rows)
 
@@ -364,13 +362,7 @@ def _cmd_eigen(args) -> CommandOutput:
     values.append(("two_p_eigenpair_residual", residual))
     rows.append(["two_p_eigenpair_residual", residual])
     if args.check_conjecture:
-        report = max_eigen_report(args.n, params, cov, spectrum=spectrum)
-        extra = [
-            ("lambda_max", report.lambda_max),
-            ("two_p", report.two_p),
-            ("gap", report.gap),
-            ("agrees_within_1e-8", report.agrees),
-        ]
+        extra = _conjecture_values(args.n, params, spectrum)
         values.extend(extra)
         rows.extend([label, value] for label, value in extra)
     inputs = [("n", args.n), ("p", params.p)]
@@ -464,17 +456,6 @@ def _cmd_ranktest(args) -> CommandOutput:
     return CommandOutput(_record(args, inputs, values), ["label", "value"], rows)
 
 
-def _exact_for_statistic(name: str, n: int, params: DesignParams) -> float:
-    if name == "balance":
-        return float(pmf_dn(n, params).mass(0))
-    if name == "variance":
-        return float(var_dn(n, params))
-    if name == "selection-bias":
-        return float(selection_bias_step(n, params))
-    i, j = (int(piece) for piece in name[4:-1].split(","))
-    return 4.0 * joint_assignment(i, j, params) - 1.0
-
-
 def _cmd_simulate(args) -> CommandOutput:
     _float_only(args)
     params = _params_of(args)
@@ -488,7 +469,7 @@ def _cmd_simulate(args) -> CommandOutput:
         batch_size=args.batch_size,
         jobs=args.threads,
     )
-    exact = _exact_for_statistic(args.statistic.strip(), args.n, params)
+    exact = statistic.exact(args.n, params)
     gap = abs(estimate.point - exact)
     z = gap / estimate.std_error if estimate.std_error > 0 else (0.0 if gap == 0 else math.inf)
     inputs = [
@@ -518,10 +499,6 @@ def _add_common(sub, mode=True):
     sub.add_argument("--out", default=None, help="write output to FILE instead of stdout")
     if mode:
         sub.add_argument("--mode", choices=("float", "rational"), default="float")
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -568,7 +545,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--p", default="0.6,0.7,0.8,0.9", help="comma list of probabilities")
     sub.add_argument("--tol", default="0.10,0.05,0.01,0.001", help="comma list of relative tolerances")
     sub.add_argument("--n-max", type=int, default=500)
-    sub.add_argument("--threads", type=int, default=_default_threads())
     _add_common(sub, mode=False)
     sub.set_defaults(handler=_cmd_threshold, mode="float")
 
@@ -577,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--odd-n", default="5,15,25,75")
     sub.add_argument("--p", default="0.6,0.7,0.8,0.9")
     sub.add_argument("--places", type=int, default=2)
-    sub.add_argument("--threads", type=int, default=_default_threads())
     _add_common(sub, mode=False)
     sub.set_defaults(handler=_cmd_table2, mode="float")
 
@@ -585,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--n", default="5,10,15,20,25,50,75,100,200")
     sub.add_argument("--p", default="0.6,0.7,0.8,0.9")
     sub.add_argument("--places", type=int, default=3)
-    sub.add_argument("--threads", type=int, default=_default_threads())
     _add_common(sub, mode=False)
     sub.set_defaults(handler=_cmd_table3, mode="float")
 
@@ -661,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--reps", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--batch-size", type=int, default=1 << 16)
-    sub.add_argument("--threads", type=int, default=_default_threads())
+    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     _add_common(sub)
     sub.set_defaults(handler=_cmd_simulate)
 

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DesignParams, Number, transition_prob
-from .exact import _two_sided_scan, pmf_dn
+from .exact import ImbalancePMF, _two_sided_scan, pmf_dn
 from .stable import FLOAT64_STABLE, NumericMode, stable_term_product
 
 __all__ = [
@@ -73,16 +73,15 @@ def first_visit(
         raise ValueError("steps must be >= 0")
     k = abs(k)
     if k == 0:
-        one = Fraction(1) if mode.is_exact else 1.0
-        return one if steps == 0 else 0 * one
+        return mode.one if steps == 0 else mode.zero
     if steps < k or (steps - k) % 2:
-        return Fraction(0) if mode.is_exact else 0.0
+        return mode.zero
 
     toward = (steps + k) // 2  # moves toward balance, probability p each
     away = (steps - k) // 2
     if mode.is_exact:
-        params = params.as_exact()
-        p, q = Fraction(params.p), Fraction(params.q)
+        params = mode.design(params)
+        p, q = params.p, params.q
         return Fraction(k, steps) * math.comb(steps, toward) * p**toward * q**away
 
     p, q = float(params.p), float(params.q)
@@ -107,7 +106,6 @@ class FirstVisitTable:
     def __init__(self, params: DesignParams, mode: NumericMode | str = FLOAT64_STABLE):
         self.params = params
         self.mode = NumericMode.coerce(mode)
-        self._one = Fraction(1) if self.mode.is_exact else 1.0
         self._rows: dict[int, list[Number]] = {}
 
     def f(self, k: int, steps: int) -> Number:
@@ -118,8 +116,8 @@ class FirstVisitTable:
             raise ValueError("horizon must be >= 0")
         k = abs(k)
         if k == 0:
-            return self._one
-        row = self._rows.setdefault(k, [0 * self._one])  # fhat_k(0) = 0
+            return self.mode.one
+        row = self._rows.setdefault(k, [self.mode.zero])  # fhat_k(0) = 0
         while len(row) <= horizon:
             u = len(row)
             row.append(row[-1] + self.f(k, u))
@@ -144,34 +142,27 @@ def cond_assignment(
         (1/2 - t_k) * fhat_k(m - n - 1) + t_k
     """
     mode = NumericMode.coerce(mode)
-    if mode.is_exact:
-        params = params.as_exact()
+    params = mode.design(params)
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m, got n={n}, m={m}")
     if abs(k) > n or (n - k) % 2:
-        return Fraction(0) if mode.is_exact else 0.0
+        return mode.zero
     if table is None:
         table = FirstVisitTable(params, mode)
-    t_k = transition_prob(params, k)
-    half = params.half if mode.is_exact else 0.5
-    if mode.is_exact:
-        t_k = Fraction(t_k)
-    else:
-        t_k = float(t_k)
-    return (half - t_k) * table.f_hat(k, m - n - 1) + t_k
+    t_k = mode.cast(transition_prob(params, k))
+    return (mode.half - t_k) * table.f_hat(k, m - n - 1) + t_k
 
 
 PmfProvider = Callable[[int, int], Number]
 
 
 def _pmf_row_provider(params: DesignParams, mode: NumericMode) -> PmfProvider:
-    cache: dict[int, dict[int, Number]] = {}
+    cache: dict[int, ImbalancePMF] = {}
 
     def provider(n: int, k: int) -> Number:
         if n not in cache:
-            cache[n] = dict(pmf_dn(n, params, mode).masses)
-        zero = Fraction(0) if mode.is_exact else 0.0
-        return cache[n].get(k, zero)
+            cache[n] = pmf_dn(n, params, mode)
+        return cache[n].mass(k)
 
     return provider
 
@@ -188,11 +179,11 @@ def joint_assignment(
 
     Decomposes over the imbalance k just before draw n; each term is the
     chance of sitting at k, times t_k for drawing +1, times the conditional
-    chance that draw m is +1 given the post-draw imbalance k + 1.
+    chance (cond_assignment) that draw m is +1 given the post-draw
+    imbalance k + 1.
     """
     mode = NumericMode.coerce(mode)
-    if mode.is_exact:
-        params = params.as_exact()
+    params = mode.design(params)
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m, got n={n}, m={m}")
     if pmf_provider is None:
@@ -200,26 +191,14 @@ def joint_assignment(
     if table is None:
         table = FirstVisitTable(params, mode)
 
-    half = params.half if mode.is_exact else 0.5
-    horizon = m - n - 1
     terms = []
-    for k in range(-(n - 1), n):
-        if (n - 1 - k) % 2:
-            continue
+    for k in range(-(n - 1), n, 2):
         mass = pmf_provider(n - 1, k)
         if not mass:
             continue
-        t_k = transition_prob(params, k)
-        t_up = transition_prob(params, k + 1)
-        if mode.is_exact:
-            t_k, t_up = Fraction(t_k), Fraction(t_up)
-        else:
-            t_k, t_up = float(t_k), float(t_up)
-        cond = (half - t_up) * table.f_hat(k + 1, horizon) + t_up
-        terms.append(cond * mass * t_k)
-    if mode.is_exact:
-        return sum(terms, start=Fraction(0))
-    return math.fsum(terms)
+        t_k = mode.cast(transition_prob(params, k))
+        terms.append(cond_assignment(m, n, k + 1, params, mode, table) * mass * t_k)
+    return mode.sum(terms)
 
 
 @dataclass(frozen=True)
@@ -235,20 +214,13 @@ class AssignmentCovariance:
     params: DesignParams
     matrix: np.ndarray  # dtype float64, or object (Fraction) in exact mode
 
-    @property
-    def is_exact(self) -> bool:
-        return self.matrix.dtype == object
-
     def entry(self, i: int, j: int) -> Number:
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise IndexError(f"indices out of range 1..{self.n}: ({i}, {j})")
-        value = self.matrix[i - 1, j - 1]
-        return value if self.is_exact else float(value)
+        return self.matrix.item(i - 1, j - 1)  # a Python float or Fraction
 
     def as_array(self) -> np.ndarray:
-        if self.is_exact:
-            return self.matrix.astype(float)
-        return self.matrix
+        return self.matrix.astype(float, copy=False)
 
     def principal(self, n: int) -> "AssignmentCovariance":
         if not 1 <= n <= self.n:
@@ -339,12 +311,12 @@ def sigma(
     mode = NumericMode.coerce(mode)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    params = params.as_exact() if mode.is_exact else params.as_float()
-    one = Fraction(1) if mode.is_exact else 1.0
-    table = _first_return_table(n, params, one)
-    out = np.full((n, n), one)
+    # float mode computes with float params, whatever type p came in as
+    params = DesignParams(mode.cast(mode.design(params).p))
+    table = _first_return_table(n, params, mode.one)
+    out = np.full((n, n), mode.one)
     for i, law in enumerate(_imbalance_laws(n - 1, params, mode), start=1):
-        w, c = _row_weights(i, law, params, 0 * one)
+        w, c = _row_weights(i, law, params, mode.zero)
         m = slice(i % 2, i + 1, 2)
         out[i - 1, i:] = 4 * (w[m] @ table[m, : n - i] + c) - 1
     upper = np.triu_indices(n, 1)

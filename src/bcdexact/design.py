@@ -23,10 +23,6 @@ from numbers import Rational
 Number = float | Fraction
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational)
-
-
 @dataclass(frozen=True)
 class DesignParams:
     """Biased-coin parameter p with derived quantities q = 1 - p, r = p/q.
@@ -61,12 +57,12 @@ class DesignParams:
 
     @property
     def half(self) -> Number:
-        """One half, in the same arithmetic as p."""
-        return Fraction(1, 2) if self.is_exact else 0.5
+        """One half, in the same arithmetic as p (p / 2p is exactly 1/2)."""
+        return self.p / (2 * self.p)
 
     @property
     def is_exact(self) -> bool:
-        return _is_exact(self.p)
+        return isinstance(self.p, Rational)
 
     @property
     def is_fair(self) -> bool:

@@ -47,19 +47,10 @@ __all__ = [
     "dp_pmf_dn",
     "pmf_at",
     "pmf_dn",
-    "stationary_pmf",
     "steady_state_threshold",
     "term_factors",
     "var_dn",
 ]
-
-
-def _require_exact(params: DesignParams) -> DesignParams:
-    return params.as_exact()
-
-
-def _zero(mode: NumericMode):
-    return Fraction(0) if mode.is_exact else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -124,23 +115,18 @@ def pmf_at(
         raise ValueError(f"n must be >= 0, got {n}")
     k = abs(k)
     if k > n or (n - k) % 2:
-        return _zero(mode)
+        return mode.zero
     if n == 0:
-        return Fraction(1) if mode.is_exact else 1.0
+        return mode.one
 
-    n_terms = (n - k) // 2 if k > 0 else n // 2
+    upper = (n - k) // 2 if k > 0 else n // 2 - 1  # last summand index l
     if mode.is_exact:
-        params = _require_exact(params)
-        p, q = Fraction(params.p), Fraction(params.q)
-        upper = n_terms if k > 0 else n_terms - 1
-        return sum(
-            (_term_exact(n, k, l, p, q) for l in range(upper + 1)),
-            start=Fraction(0),
-        )
+        params = mode.design(params)
+        p, q = params.p, params.q
+        return mode.sum(_term_exact(n, k, l, p, q) for l in range(upper + 1))
 
     sized = mode.sized_for(n)
     q = float(params.q)
-    upper = n_terms if k > 0 else n_terms - 1
     values = []
     for l in range(upper + 1):
         q_power = k + l - 1 if k > 0 else l
@@ -160,17 +146,13 @@ class ImbalancePMF:
     masses: Mapping[int, Number]
 
     def mass(self, k: int) -> Number:
-        zero = Fraction(0) if self.is_exact else 0.0
-        return self.masses.get(k, zero)
+        # masses[n] is always present and carries the arithmetic of the law
+        return self.masses.get(k, 0 * self.masses[self.n])
 
     def two_sided(self, k: int) -> Number:
         """P(|D_n| = |k|)."""
         k = abs(k)
         return self.mass(0) if k == 0 else 2 * self.mass(k)
-
-    @property
-    def is_exact(self) -> bool:
-        return any(isinstance(v, Fraction) for v in self.masses.values())
 
     def support(self) -> list[int]:
         return sorted(self.masses)
@@ -211,16 +193,10 @@ def _dp_rows(
     mass at 2, interior k gets q * mass(k-1) + p * mass(k+1), and the
     extreme k = j+1 is reached only from j with probability q.
     """
-    if mode.is_exact:
-        params = _require_exact(params)
-        one, half = Fraction(1), Fraction(1, 2)
-    else:
-        params = params.as_float()
-        one, half = 1.0, 0.5
-    p, q = params.p, params.q
-
-    zero = one * 0
-    row: list[Number] = [one]
+    p = mode.cast(mode.design(params).p)
+    q = 1 - p
+    half, zero = mode.half, mode.zero
+    row: list[Number] = [mode.one]
     yield row
     for j in range(n):
         prev = row + [zero, zero]  # pad so prev[k+1] is always valid
@@ -266,12 +242,9 @@ def var_dn(
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     start = 1 if n % 2 else 2
-    terms = [
+    return mode.sum(
         k * k * 2 * pmf_at(n, k, params, mode) for k in range(start, n + 1, 2)
-    ]
-    if mode.is_exact:
-        return sum(terms, start=Fraction(0))
-    return math.fsum(terms)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,10 +295,6 @@ class StationaryDist:
     def limit_imbalance_one(self) -> Number:
         """lim over odd n of P(|D_n| = 1) = (r^2-1)/r^2."""
         return self.two_sided_limit(1)
-
-
-def stationary_pmf(params: DesignParams) -> StationaryDist:
-    return StationaryDist(params)
 
 
 def asymptotic_var(params: DesignParams, parity: str) -> Number:

@@ -23,8 +23,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .covariance import AssignmentCovariance
+from .bias import selection_bias_step
+from .covariance import AssignmentCovariance, joint_assignment
 from .design import DesignParams, Number
+from .exact import pmf_dn, var_dn
 from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
@@ -111,12 +113,14 @@ class PathStatistic:
     per_path sees a single path as index-able sequences and should return
     an int/Fraction when exact enumeration matters.  per_batch, when given,
     maps the (replicates x n) assignment and imbalance matrices to a vector
-    of values and keeps Monte Carlo fully vectorized.
+    of values and keeps Monte Carlo fully vectorized.  exact, when given,
+    maps (n, params) to the statistic's expectation from the closed forms.
     """
 
     name: str
     per_path: Callable[[Sequence[int], Sequence[int]], Number]
     per_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    exact: Callable[[int, DesignParams], float] | None = None
 
     def batch_values(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
         if self.per_batch is not None:
@@ -141,6 +145,7 @@ def stat_balance() -> PathStatistic:
         name="balance",
         per_path=lambda t, d: 1 if d[-1] == 0 else 0,
         per_batch=lambda t, d: (d[:, -1] == 0).astype(float),
+        exact=lambda n, params: float(pmf_dn(n, params).mass(0)),
     )
 
 
@@ -150,6 +155,7 @@ def stat_imbalance_sq() -> PathStatistic:
         name="variance",
         per_path=lambda t, d: d[-1] * d[-1],
         per_batch=lambda t, d: (d[:, -1].astype(float)) ** 2,
+        exact=lambda n, params: float(var_dn(n, params)),
     )
 
 
@@ -161,6 +167,7 @@ def stat_product(i: int, j: int) -> PathStatistic:
         name=f"cov({i},{j})",
         per_path=lambda t, d: t[i - 1] * t[j - 1],
         per_batch=lambda t, d: (t[:, i - 1] * t[:, j - 1]).astype(float),
+        exact=lambda n, params: 4.0 * joint_assignment(i, j, params) - 1.0,
     )
 
 
@@ -185,7 +192,12 @@ def stat_correct_guess(j: int) -> PathStatistic:
         correct = (t[:, j - 1] > 0) == (prev < 0)
         return np.where(prev == 0, 0.5, correct.astype(float))
 
-    return PathStatistic(name=f"guess@{j}", per_path=per_path, per_batch=per_batch)
+    return PathStatistic(
+        name=f"guess@{j}",
+        per_path=per_path,
+        per_batch=per_batch,
+        exact=lambda n, params: float(selection_bias_step(j, params)),
+    )
 
 
 _COV_RE = re.compile(r"^cov\((\d+),\s*(\d+)\)$")
@@ -232,13 +244,9 @@ def enumerate_exact(
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}, got {n}")
     stat = _coerce_statistic(statistic)
-    if mode.is_exact:
-        params = params.as_exact()
-        p, q, half = Fraction(params.p), Fraction(params.q), Fraction(1, 2)
-        total = Fraction(0)
-    else:
-        p, q, half = float(params.p), float(params.q), 0.5
-        total = 0.0
+    params = mode.design(params)
+    p, q, half = mode.cast(params.p), mode.cast(params.q), mode.half
+    total = mode.zero
 
     t_path = [0] * n
     d_path = [0] * n
@@ -256,8 +264,7 @@ def enumerate_exact(
             d_path[depth] = d + t
             walk(depth + 1, d + t, weight * w)
 
-    one = Fraction(1) if mode.is_exact else 1.0
-    walk(0, 0, one)
+    walk(0, 0, mode.one)
     return total
 
 
@@ -292,6 +299,17 @@ def _simulate_batch(
     return t, d_mat
 
 
+def _batch_sizes(replicates: int, batch_size: int) -> list[int]:
+    """Replicates dealt into batches of batch_size, the last one partial.
+
+    Batch b draws the stream (seed, b), so the split fixes every result.
+    """
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    full, rest = divmod(replicates, batch_size)
+    return [batch_size] * full + ([rest] if rest else [])
+
+
 def mc_estimate(
     n: int,
     params: DesignParams,
@@ -312,16 +330,9 @@ def mc_estimate(
         raise ValueError(f"n must be >= 1, got {n}")
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    tasks = list(enumerate(_batch_sizes(replicates, batch_size)))
     stat = _coerce_statistic(statistic)
     p = float(params.p)
-
-    sizes = []
-    left = replicates
-    while left > 0:
-        sizes.append(min(batch_size, left))
-        left -= sizes[-1]
 
     def run(index_size) -> tuple[float, float]:
         index, size = index_size
@@ -329,7 +340,6 @@ def mc_estimate(
         values = stat.batch_values(t, d)
         return float(values.sum()), float((values * values).sum())
 
-    tasks = list(enumerate(sizes))
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             partials = list(pool.map(run, tasks))
@@ -438,13 +448,8 @@ def rank_pvalue_mc(
     n = a.size
     p = float(params.p)
     hits = 0
-    done = 0
-    index = 0
-    while done < replicates:
-        size = min(batch_size, replicates - done)
+    for index, size in enumerate(_batch_sizes(replicates, batch_size)):
         t, _ = _simulate_batch(n, p, _stream(seed, index), size)
         w = t.astype(float) @ a
         hits += int(np.count_nonzero(np.abs(w) >= abs(observed) - 1e-12))
-        done += size
-        index += 1
     return (hits + 1) / (replicates + 1)

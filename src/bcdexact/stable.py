@@ -27,7 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from .design import DesignParams
 
 DEFAULT_UNDERFLOW_GUARD = 1e-300
 
@@ -41,7 +45,8 @@ class NumericMode:
 
     overflow_guard is the window top M; None means "derive 4n from the
     problem size at the call site".  underflow_guard (m) only matters for
-    the float backend.
+    the float backend.  The mode also carries the arithmetic of its kind
+    (constants, casts, summation), so evaluators write one body for both.
     """
 
     kind: str = FLOAT_KIND
@@ -59,6 +64,31 @@ class NumericMode:
     @property
     def is_exact(self) -> bool:
         return self.kind == RATIONAL_KIND
+
+    def cast(self, x) -> Fraction | float:
+        """x as a Fraction in rational mode, a float in float mode."""
+        return Fraction(x) if self.is_exact else float(x)
+
+    @property
+    def zero(self) -> Fraction | float:
+        return self.cast(0)
+
+    @property
+    def one(self) -> Fraction | float:
+        return self.cast(1)
+
+    @property
+    def half(self) -> Fraction | float:
+        return self.cast(Fraction(1, 2))
+
+    def sum(self, values: Iterable) -> Fraction | float:
+        """Exact sum from Fraction(0) in rational mode, fsum in float mode."""
+        return sum(values, start=Fraction(0)) if self.is_exact else math.fsum(values)
+
+    def design(self, params: "DesignParams") -> "DesignParams":
+        """The params to compute with: exact ones in rational mode, which
+        refuses a float p, and the caller's own in float mode."""
+        return params.as_exact() if self.is_exact else params
 
     def sized_for(self, n: int) -> "NumericMode":
         """Concrete mode for a size-n computation, defaulting M to 4n."""

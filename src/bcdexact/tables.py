@@ -11,7 +11,6 @@ knowing anything about the math.
 from __future__ import annotations
 
 import decimal
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
 from .bias import asymptotic_excess, selection_bias_report
@@ -48,20 +47,11 @@ def round_half_even(x: float, places: int) -> str:
     return str(decimal.Decimal(x).quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
 
 
-def _pmap(fn, items: list, threads: int) -> list:
-    """Map preserving order; cells are independent so any fan-out is safe."""
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def threshold_grid(
     k_values: Sequence[int] = THRESHOLD_K_GRID,
     p_values: Sequence[float] = DEFAULT_P_GRID,
     tolerances: Sequence[float] = THRESHOLD_TOL_GRID,
     n_max: int = 500,
-    threads: int = 1,
 ) -> list[dict]:
     """Smallest n at which P(|D_n| = k) has settled to its limit.
 
@@ -69,14 +59,17 @@ def threshold_grid(
     relative error against the limiting two-sided mass stays within the
     tolerance for good; rows that never settle by n_max carry None.
     """
-    cells = [(k, p, tol) for k in k_values for p in p_values for tol in tolerances]
-
-    def solve(cell):
-        k, p, tol = cell
-        n_star = steady_state_threshold(k, DesignParams(p), tol, n_max=n_max)
-        return {"k": k, "p": p, "tol": tol, "n_threshold": n_star}
-
-    return _pmap(solve, cells, threads)
+    return [
+        {
+            "k": k,
+            "p": p,
+            "tol": tol,
+            "n_threshold": steady_state_threshold(k, DesignParams(p), tol, n_max=n_max),
+        }
+        for k in k_values
+        for p in p_values
+        for tol in tolerances
+    ]
 
 
 def variance_grid(
@@ -85,7 +78,6 @@ def variance_grid(
     p_values: Sequence[float] = DEFAULT_P_GRID,
     mode: NumericMode | str = FLOAT64_STABLE,
     places: int = 2,
-    threads: int = 1,
 ) -> list[dict]:
     """Var(D_n) on an even and an odd ladder of n, plus the n->inf row.
 
@@ -98,31 +90,18 @@ def variance_grid(
         for n in ns:
             if n % 2 != (0 if parity == "even" else 1):
                 raise ValueError(f"{n} is not {parity}")
-        cells = [(n, p) for n in ns for p in p_values]
-
-        def solve(cell, parity=parity):
-            n, p = cell
-            value = float(var_dn(n, DesignParams(p), mode))
-            return {
+        cells = [(n, p, var_dn(n, DesignParams(p), mode)) for n in ns for p in p_values]
+        cells += [(None, p, asymptotic_var(DesignParams(p), parity)) for p in p_values]
+        rows += [
+            {
                 "parity": parity,
                 "n": n,
                 "p": p,
-                "variance": value,
-                "rounded": round_half_even(value, places),
+                "variance": float(value),
+                "rounded": round_half_even(float(value), places),
             }
-
-        rows.extend(_pmap(solve, cells, threads))
-        for p in p_values:
-            value = float(asymptotic_var(DesignParams(p), parity))
-            rows.append(
-                {
-                    "parity": parity,
-                    "n": None,
-                    "p": p,
-                    "variance": value,
-                    "rounded": round_half_even(value, places),
-                }
-            )
+            for n, p, value in cells
+        ]
     return rows
 
 
@@ -131,31 +110,21 @@ def selection_bias_grid(
     p_values: Sequence[float] = DEFAULT_P_GRID,
     mode: NumericMode | str = FLOAT64_STABLE,
     places: int = 3,
-    threads: int = 1,
 ) -> list[dict]:
     """Average per-draw excess guessing success, with the n->inf row."""
     mode = NumericMode.coerce(mode)
-    cells = [(n, p) for n in n_values for p in p_values]
-
-    def solve(cell):
-        n, p = cell
-        value = float(selection_bias_report(n, DesignParams(p), mode).average_excess)
-        return {
+    cells = [
+        (n, p, selection_bias_report(n, DesignParams(p), mode).average_excess)
+        for n in n_values
+        for p in p_values
+    ]
+    cells += [(None, p, asymptotic_excess(DesignParams(p))) for p in p_values]
+    return [
+        {
             "n": n,
             "p": p,
-            "average_excess": value,
-            "rounded": round_half_even(value, places),
+            "average_excess": float(value),
+            "rounded": round_half_even(float(value), places),
         }
-
-    rows = _pmap(solve, cells, threads)
-    for p in p_values:
-        value = float(asymptotic_excess(DesignParams(p)))
-        rows.append(
-            {
-                "n": None,
-                "p": p,
-                "average_excess": value,
-                "rounded": round_half_even(value, places),
-            }
-        )
-    return rows
+        for n, p, value in cells
+    ]

@@ -107,7 +107,7 @@ def test_criterion_01_variance_reference_grid():
     violations = []
 
     t0 = time.perf_counter()
-    grid = tables.variance_grid(threads=1)
+    grid = tables.variance_grid()
     elapsed = time.perf_counter() - t0
     float_cells = {(r["parity"], r["n"], r["p"]): r["variance"] for r in grid}
 
@@ -148,7 +148,7 @@ def test_criterion_02_selection_bias_reference_grid():
     violations = []
 
     t0 = time.perf_counter()
-    grid = tables.selection_bias_grid(threads=1)
+    grid = tables.selection_bias_grid()
     elapsed = time.perf_counter() - t0
     float_cells = {(r["n"], r["p"]): r["average_excess"] for r in grid}
 
@@ -185,7 +185,7 @@ def test_criterion_02_selection_bias_reference_grid():
 def test_criterion_03_threshold_reference_grid():
     violations = []
     t0 = time.perf_counter()
-    grid = tables.threshold_grid(threads=1)
+    grid = tables.threshold_grid()
     elapsed = time.perf_counter() - t0
 
     assert len(grid) == 80

@@ -150,8 +150,7 @@ def test_accidental_bias_defaults_to_the_worst_case_vector(capsys):
 
 def test_threshold_single_cell(capsys):
     code, out, _ = run_cli(
-        capsys, "threshold", "--k", "0", "--p", "0.8", "--tol", "0.01",
-        "--threads", "1",
+        capsys, "threshold", "--k", "0", "--p", "0.8", "--tol", "0.01"
     )
     assert code == 0
     header, rows = csv_rows(out)
@@ -162,7 +161,7 @@ def test_threshold_single_cell(capsys):
 def test_threshold_sentinel_for_unreached_cells(capsys):
     code, out, _ = run_cli(
         capsys, "threshold", "--k", "50", "--p", "0.6", "--tol", "0.001",
-        "--n-max", "500", "--threads", "1",
+        "--n-max", "500",
     )
     assert code == 0
     assert ">500" in out
@@ -220,9 +219,7 @@ def test_out_flag_writes_the_file_and_keeps_stdout_quiet(tmp_path, capsys):
 )
 def test_default_grids_match_the_golden_bytes(tmp_path, capsys, name, argv):
     target = tmp_path / name
-    code, out, _ = run_cli(
-        capsys, *argv, "--threads", "2", "--out", str(target)
-    )
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
     assert code == 0
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
 
@@ -407,6 +404,31 @@ def test_check_conjecture_solves_the_spectrum_once(capsys, monkeypatch):
     calls.clear()
     code, _, _ = run_cli(capsys, "sigma", "--n", "5", "--p", "0.7", "--eigen", "--check-conjecture")
     assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [["eigen"], ["sigma", "--eigen"], ["sigma", "--check-conjecture"]])
+def test_a_spectrum_of_one_draw_is_refused(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--n", "1", "--p", "0.7")
+    assert code == 2 and out == ""
+    assert err.startswith("error: need n >= 2\n")
+
+
+def test_sigma_with_its_spectrum_keeps_its_bytes(capsys):
+    code, out, _ = run_cli(
+        capsys, "sigma", "--n", "2", "--p", "0.7", "--eigen", "--check-conjecture"
+    )
+    assert code == 0
+    assert out == (
+        "c1,c2\n"
+        "1.0,-0.3999999999999999\n"
+        "-0.3999999999999999,1.0\n"
+        "lambda(1),1.3999999999999997\n"
+        "lambda(2),0.6\n"
+        "lambda_max,1.3999999999999997\n"
+        "two_p,1.4\n"
+        "gap,-2.220446049250313e-16\n"
+        "agrees_within_1e-8,True\n"
+    )
 
 
 def test_convergence_failure_exits_with_code_three(capsys, monkeypatch):

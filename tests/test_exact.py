@@ -18,7 +18,6 @@ from bcdexact.exact import (
     dp_pmf_dn,
     pmf_at,
     pmf_dn,
-    stationary_pmf,
     steady_state_threshold,
     var_dn,
 )
@@ -208,10 +207,6 @@ def test_stationary_deterministic_limits():
     assert dist.pi(0) == Fraction(1, 2)
     assert dist.pi(1) == Fraction(1, 2)
     assert dist.pi(2) == 0
-
-
-def test_stationary_pmf_is_a_constructor_alias():
-    assert stationary_pmf(P710).pi(0) == StationaryDist(P710).pi(0)
 
 
 def test_finite_masses_converge_to_the_two_sided_limit():

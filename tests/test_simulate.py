@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from bcdexact.bias import selection_bias_step
-from bcdexact.covariance import sigma, two_p_eigenvector
+from bcdexact.covariance import joint_assignment, sigma, two_p_eigenvector
 from bcdexact.design import DesignParams
-from bcdexact.exact import pmf_at, var_dn
+from bcdexact.exact import pmf_at, pmf_dn, var_dn
 from bcdexact.simulate import (
     ENUMERATION_CAP,
     McEstimate,
@@ -112,6 +112,15 @@ def test_parse_statistic_names():
     assert parse_statistic("variance", 8).name == "variance"
     assert parse_statistic("selection-bias", 8).name == "guess@8"
     assert parse_statistic("cov(2, 5)", 8).name == "cov(2,5)"
+    params = DesignParams(0.7)
+    exact = {
+        "balance": float(pmf_dn(8, params).mass(0)),
+        "variance": float(var_dn(8, params)),
+        "selection-bias": float(selection_bias_step(8, params)),
+        "cov(2, 5)": 4.0 * joint_assignment(2, 5, params) - 1.0,
+    }
+    for text, value in exact.items():
+        assert parse_statistic(text, 8).exact(8, params) == value
     with pytest.raises(ValueError):
         parse_statistic("cov(5,2)", 8)
     with pytest.raises(ValueError):
@@ -145,6 +154,17 @@ def test_mc_estimate_is_deterministic_across_worker_counts():
     assert serial.point == threaded.point
     assert serial.std_error == threaded.std_error
     assert serial.replicates == threaded.replicates == 50_000
+
+
+def test_seeded_monte_carlo_results_are_pinned():
+    # 50,000 replicates in batches of 8192 end in a partial batch of 848;
+    # 10,000 in batches of 3000 end in one of 1000
+    est = mc_estimate(12, DesignParams(0.7), stat_balance(), 50_000, seed=2024,
+                      batch_size=1 << 13)
+    assert est.point == 0.58426
+    scores = [1.0, 2.0, -0.5, 3.0]
+    pv = rank_pvalue_mc(scores, 2.5, DesignParams(0.7), 10_000, seed=11, batch_size=3000)
+    assert pv == 0.686931306869313
 
 
 def test_mc_estimate_lands_near_the_exact_value():
@@ -233,8 +253,11 @@ def test_pvalue_edge_cases():
     assert everything == 1.0
     nothing = rank_pvalue_mc(scores, 10.0, DesignParams(0.7), reps, seed=2)
     assert nothing == pytest.approx(1 / (reps + 1))
+    assert rank_pvalue_mc(scores, 0.0, DesignParams(0.7), 1, seed=2) == 1.0
     with pytest.raises(ValueError):
         rank_pvalue_mc(scores, 1.0, DesignParams(0.7), 0, seed=2)
+    with pytest.raises(ValueError):
+        rank_pvalue_mc(scores, 1.0, DesignParams(0.7), 10, seed=2, batch_size=0)
 
 
 def test_pvalue_is_calibrated_under_the_null():

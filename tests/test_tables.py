@@ -119,12 +119,6 @@ def test_threshold_grid_matches_the_reference_integers():
         assert row["n_threshold"] == want, row
 
 
-def test_grids_are_identical_across_thread_counts():
-    assert threshold_grid(threads=2) == threshold_grid(threads=1)
-    assert variance_grid(threads=2) == variance_grid(threads=1)
-    assert selection_bias_grid(threads=2) == selection_bias_grid(threads=1)
-
-
 def test_grid_defaults_cover_the_usual_ladders():
     assert THRESHOLD_K_GRID == (0, 1, 2, 25, 50)
     assert VARIANCE_EVEN_N == (10, 20, 50, 100, 200)
