@@ -34,7 +34,7 @@ import numpy as np
 
 from .covariance import AssignmentCovariance
 from .design import DesignParams, Number
-from .exact import pmf_at
+from .exact import pmf_at, pmf_masses
 from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
@@ -57,7 +57,11 @@ def selection_bias_step(
     if j < 1:
         raise ValueError(f"draw index must be >= 1, got {j}")
     params = mode.design(params)
-    balanced = pmf_at(j - 1, 0, params, mode)
+    return _guess_rate(pmf_at(j - 1, 0, params, mode), params, mode)
+
+
+def _guess_rate(balanced: Number, params: DesignParams, mode: NumericMode) -> Number:
+    """b_j from P(D_{j-1} = 0): a fair toss when balanced, else p."""
     return mode.half * balanced + mode.cast(params.p) * (1 - balanced)
 
 
@@ -97,9 +101,13 @@ def selection_bias_report(
     params: DesignParams,
     mode: NumericMode | str = FLOAT64_STABLE,
 ) -> SelectionBiasReport:
+    """Per-step guess rates b_1 .. b_n, from all P(D_{j-1} = 0) in one batch."""
+    mode = NumericMode.coerce(mode)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    steps = tuple(selection_bias_step(j, params, mode) for j in range(1, n + 1))
+    design = mode.design(params)
+    balanced = pmf_masses([(j, 0) for j in range(n)], design, mode)
+    steps = tuple(_guess_rate(b, design, mode) for b in balanced)
     return SelectionBiasReport(n=n, params=params, per_step=steps)
 
 

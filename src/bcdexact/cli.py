@@ -32,7 +32,7 @@ from .covariance import (
     verify_2p_eigenpair,
 )
 from .design import DesignParams, parse_probability
-from .exact import StationaryDist, asymptotic_var, pmf_dn, var_dn
+from .exact import SCAN_N_MAX, StationaryDist, asymptotic_var, pmf_dn, var_dn
 from .simulate import (
     ScoreVector,
     TreatmentSequence,
@@ -544,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--k", default="0,1,2,25,50", help="comma list of |imbalance| values")
     sub.add_argument("--p", default="0.6,0.7,0.8,0.9", help="comma list of probabilities")
     sub.add_argument("--tol", default="0.10,0.05,0.01,0.001", help="comma list of relative tolerances")
-    sub.add_argument("--n-max", type=int, default=500)
+    sub.add_argument("--n-max", type=int, default=500,
+                     help=f"last n scanned, at most {SCAN_N_MAX}")
     _add_common(sub, mode=False)
     sub.set_defaults(handler=_cmd_threshold, mode="float")
 

@@ -26,7 +26,7 @@ import numpy as np
 from .bias import selection_bias_step
 from .covariance import AssignmentCovariance, joint_assignment
 from .design import DesignParams, Number
-from .exact import pmf_dn, var_dn
+from .exact import pmf_at, var_dn
 from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
@@ -145,7 +145,7 @@ def stat_balance() -> PathStatistic:
         name="balance",
         per_path=lambda t, d: 1 if d[-1] == 0 else 0,
         per_batch=lambda t, d: (d[:, -1] == 0).astype(float),
-        exact=lambda n, params: float(pmf_dn(n, params).mass(0)),
+        exact=lambda n, params: float(pmf_at(n, 0, params)),
     )
 
 

@@ -21,6 +21,10 @@ us interleave the two so the running product stays inside a fixed window:
 When step 6 banks partial products the value is returned as a
 FactoredProduct, a list of sub-products whose true value is their product;
 downstream sums rescale these instead of collapsing them to 0.0.
+
+`replay_term_products` runs the same multiplies for many terms at once,
+one numpy lane per term, and is the route the closed forms take in float
+mode; `stable_term_product` is its per-term reference and its fallback.
 """
 
 from __future__ import annotations
@@ -30,10 +34,13 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .design import DesignParams
 
 DEFAULT_UNDERFLOW_GUARD = 1e-300
+LANE_BATCH = 2048  # lanes replayed together; bounds the replay's working set
 
 FLOAT_KIND = "float64-stable"
 RATIONAL_KIND = "exact-rational"
@@ -208,6 +215,118 @@ def stable_term_product(
     if banked:
         banked.append(prod)
         return FactoredProduct(tuple(banked))
+    return prod
+
+
+def replay_term_products(
+    n: np.ndarray,
+    k: np.ndarray,
+    l: np.ndarray,
+    p: float,
+    q: float,
+    big: np.ndarray,
+) -> np.ndarray:
+    """The guarded product of many closed-form summands, one numpy lane each.
+
+    Lane i is the l-th summand of P(D_n = k) for k >= 0, whose factors
+    `exact.term_factors` lists: large factors a+1 .. a+l with a = (n+k)/2;
+    small factors 1/2 .. 1/l, the ratio (n+k-2l)/(n+k+2l), a 1/2 when
+    k > 0, p^((n-k)/2) and q^(k+l-1) (q^l when k = 0).  big[i] is its
+    overflow guard M, and p >= 1/2 >= q.  Every lane makes the multiplies
+    of `stable_term_product` in its order, and a numpy float64 product
+    rounds as a Python one does, so a lane equals the kernel's result bit
+    for bit where that is a float.  The kernel banks only when a tail
+    product falls under the underflow guard, and tail products only
+    shrink, so a lane that would bank ends under the guard: the caller
+    re-runs every lane that does through `stable_term_product`.
+    """
+    n, k, l, big = (np.asarray(x, dtype=float) for x in (n, k, l, big))
+    products = np.empty(n.size)
+    # batch lanes of similar length, so few finish long before their batch
+    length = 2 * l + np.maximum(l - 1, 0) + (n + k) / 2
+    order = np.argsort(length, kind="stable")
+    for start in range(0, order.size, LANE_BATCH):
+        lanes = order[start:start + LANE_BATCH]
+        products[lanes] = _replay_batch(n[lanes], k[lanes], l[lanes], p, q, big[lanes])
+    return products
+
+
+def _replay_batch(n, k, l, p, q, big) -> np.ndarray:
+    """One batch of `replay_term_products`, lanes in lock step.
+
+    The sorted small factors of a lane are generated, not stored: the
+    harmonics 1/2 > 1/3 > ... > 1/l merged with at most four constant runs
+    (the ratio, p, 1/2 and q), each entering once every harmonic above it
+    is used.  A lane's runs sit in a row of a small table, largest value
+    first, and the row ends with a sentinel run of factor 1.0 that enters
+    after the last harmonic, so a finished lane stands still.
+    """
+    lanes = n.size  # n, k and l hold integers; n + k is even
+    side = np.minimum(k, 1.0)  # the factor 1/2 comes with k > 0
+    ratio = (n + k - 2 * l) / (n + k + 2 * l)
+    fixed = ((p, (n - k) / 2), (0.5, side), (q, k + l - side))  # p >= 1/2 >= q
+    slot = 3.0 - np.searchsorted([q, 0.5, p], ratio, side="right")  # constants above the ratio
+    harmonics = np.maximum(l - 1, 0)
+    above = -1.0 / np.arange(2, max(int(l.max()), 2) + 1)
+
+    # a row per lane, by position i among its small factors: run g takes
+    # positions start .. stop - 1, and before it position i holds the
+    # harmonic 1/(i - shift), shift being the constants ahead of it less 2
+    width = 5
+    values = np.ones(lanes * width)
+    total = np.zeros(lanes)  # constant factors so far
+    start = np.repeat(harmonics, width)
+    shift = np.full(lanes * width, -2.0)
+    stop = np.full(lanes * width, np.inf)
+    cell = np.arange(0, lanes * width, width)  # where each lane's next run goes
+    for rank in range(4):
+        # the run of this rank: the ratio at its slot, else a fixed constant
+        before, after = fixed[min(rank, 2)], fixed[max(rank - 1, 0)]
+        value = np.where(rank < slot, before[0], np.where(rank == slot, ratio, after[0]))
+        count = np.where(rank < slot, before[1], np.where(rank == slot, 1, after[1]))
+        # empty runs are left out; a run enters once the harmonics strictly
+        # above its value are used
+        kept = np.flatnonzero(count > 0)
+        at = cell[kept]
+        values[at] = value[kept]
+        start[at] = np.minimum(np.searchsorted(above, -value[kept]), harmonics[kept]) + total[kept]
+        shift[at] = total[kept] - 2
+        stop[at] = start[at] + count[kept]
+        cell[kept] += 1
+        total += count
+    # the sentinel: factor 1.0 after the last harmonic, so a finished lane
+    # stands still
+    at = cell
+    start[at] = harmonics + total
+    shift[at] = total - 2
+    steps = int((l + harmonics + total).max())
+    del side, ratio, slot, value, count, kept, at, cell, total  # keep the loop's set small
+
+    run = np.arange(0, lanes * width, width)
+    run_value, run_start, run_shift, run_stop = values[run], start[run], shift[run], stop[run]
+    prod = np.ones(lanes)
+    large = (n + k) / 2 + 1  # next large factor
+    large_end = large + l
+    absorbing = np.zeros(lanes, dtype=bool)
+    i = np.zeros(lanes)  # small factors used
+    for _ in range(steps):
+        take_large = (large < large_end) & ~absorbing
+        take_run = i >= run_start
+        prod *= np.where(take_large, large, np.where(take_run, run_value, 1.0 / (i - run_shift)))
+        # a large factor starts absorbing when prod > M, a small one keeps it
+        # going while prod >= M (the kernel's absorb_small)
+        absorbing = prod >= big
+        on_guard = prod == big
+        if on_guard.any():
+            absorbing &= ~(on_guard & take_large)
+        large += take_large
+        i += ~take_large
+        moved = np.flatnonzero(i >= run_stop)
+        if moved.size:
+            run[moved] += 1
+            at = run[moved]
+            run_value[moved], run_start[moved] = values[at], start[at]
+            run_shift[moved], run_stop[moved] = shift[at], stop[at]
     return prod
 
 

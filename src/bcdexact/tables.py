@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .bias import asymptotic_excess, selection_bias_report
 from .design import DesignParams
-from .exact import asymptotic_var, steady_state_threshold, var_dn
+from .exact import asymptotic_var, steady_state_thresholds, var_dn
 from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
@@ -57,19 +57,18 @@ def threshold_grid(
 
     One row per (k, p, tolerance) with the first same-parity n whose
     relative error against the limiting two-sided mass stays within the
-    tolerance for good; rows that never settle by n_max carry None.
+    tolerance for good; rows that never settle by n_max carry None.  Each
+    (k, p) scans its masses once for all the tolerances.
     """
-    return [
-        {
-            "k": k,
-            "p": p,
-            "tol": tol,
-            "n_threshold": steady_state_threshold(k, DesignParams(p), tol, n_max=n_max),
-        }
-        for k in k_values
-        for p in p_values
-        for tol in tolerances
-    ]
+    rows = []
+    for k in k_values:
+        for p in p_values:
+            found = steady_state_thresholds(k, DesignParams(p), tolerances, n_max=n_max)
+            rows += [
+                {"k": k, "p": p, "tol": tol, "n_threshold": n}
+                for tol, n in zip(tolerances, found)
+            ]
+    return rows
 
 
 def variance_grid(

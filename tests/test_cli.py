@@ -18,6 +18,7 @@ from bcdexact.covariance import (
     verify_2p_eigenpair,
 )
 from bcdexact.design import DesignParams
+from bcdexact.exact import SCAN_N_MAX
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -165,6 +166,15 @@ def test_threshold_sentinel_for_unreached_cells(capsys):
     )
     assert code == 0
     assert ">500" in out
+
+
+def test_threshold_horizon_above_the_scan_bound_is_refused(capsys):
+    code, out, err = run_cli(capsys, "threshold", "--n-max", str(SCAN_N_MAX + 1))
+    assert code == 2 and out == ""
+    assert f"above {SCAN_N_MAX}" in err
+    code, out, _ = run_cli(capsys, "threshold", "--k", "0", "--p", "0.9", "--tol", "0.01",
+                           "--n-max", str(SCAN_N_MAX))
+    assert code == 0 and out.splitlines()[1] == "0,0.9,0.01,4"
 
 
 # ---------------------------------------------------------------------------

@@ -6,19 +6,24 @@ written, so the two routes share no code.
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
+import bcdexact.exact
 import bruteforce as bf
 from bcdexact.design import DesignParams
 from bcdexact.exact import (
+    SCAN_N_MAX,
     StationaryDist,
+    _two_sided_scan,
     asymptotic_var,
     dp_pmf_dn,
     pmf_at,
     pmf_dn,
     steady_state_threshold,
+    steady_state_thresholds,
     var_dn,
 )
 
@@ -313,3 +318,68 @@ def test_threshold_persistence_not_first_touch():
     for n in range(n_star, 301, 2):
         mass = pmf_dn(n, params).two_sided(k)
         assert abs(mass - limit) / limit <= tol
+
+
+def test_thresholds_scan_once_for_every_tolerance(monkeypatch):
+    tols = (0.10, 0.05, 0.01, 0.001)
+    scans = []
+    scan = bcdexact.exact._two_sided_scan
+    monkeypatch.setattr(bcdexact.exact, "_two_sided_scan",
+                        lambda *args: scans.append(args) or scan(*args))
+    found = steady_state_thresholds(25, DesignParams(0.7), tols)
+    assert len(scans) == 1
+    assert found == [steady_state_threshold(25, DesignParams(0.7), tol) for tol in tols]
+    assert found[0] == 85
+
+
+def unscaled_scan(k, p, n):
+    """The scan as first written: q**(k-1) and p**((n-k)//2) unscaled."""
+    q = 1.0 - p
+    if k:
+        a, n_extra, term = (n + k) // 2, (n - k) // 2, q ** (k - 1)
+    else:
+        a, n_extra, term = n // 2, n // 2 - 1, 1.0
+    total = term
+    for l in range(n_extra):
+        term *= (q * ((n + k - 2 * l - 2) / (n + k - 2 * l))
+                 * ((n + k + 2 * l) / (n + k + 2 * l + 2)) * ((a + l + 1) / (l + 1)))
+        total += term
+    return p ** ((n - k) // 2) * total
+
+
+@pytest.mark.parametrize("p", [0.55, 0.7, 0.9, 0.99])
+def test_scan_keeps_its_bits_where_the_start_is_normal(p):
+    compared = 0
+    for n in (41, 120, 256, 257):
+        for k in range(n % 2, n + 1, 2):
+            if k and (1.0 - p) ** (k - 1) < sys.float_info.min:
+                continue
+            assert _two_sided_scan(k, p, [n]) == [unscaled_scan(k, p, n)]
+            compared += 1
+    assert compared > 100
+
+
+P_LADDER = [round(0.51 + 0.02 * i, 2) for i in range(25)]
+
+
+@pytest.mark.parametrize("n", [500, 1000])
+def test_scan_meets_the_recurrence_at_large_n(n):
+    # the unscaled start q**(k-1) underflowed here: 1.6e-8 off at n = 500,
+    # p = 0.83, and 0 for masses near 1e-250 at n = 1000, p = 0.55 .. 0.7
+    for p in P_LADDER:
+        law = dp_pmf_dn(n, DesignParams(p))
+        for k in range(n % 2, n + 1, 2):
+            want = law.two_sided(k)
+            if want >= 1e-290:
+                got = _two_sided_scan(k, p, [n])[0]
+                assert abs(got - want) <= 1e-12 * want, (n, p, k, got, want)
+
+
+@pytest.mark.parametrize("p", [0.5000001, 0.51, 0.99])
+def test_scan_meets_the_recurrence_at_its_horizon(p):
+    law = dp_pmf_dn(SCAN_N_MAX, DesignParams(p))
+    for k in range(0, SCAN_N_MAX + 1, 10):
+        want = law.two_sided(k)
+        if want >= 1e-290:
+            got = _two_sided_scan(k, p, [SCAN_N_MAX])[0]
+            assert abs(got - want) <= 1e-12 * want, (p, k, got, want)

@@ -1,0 +1,173 @@
+"""Lane-parallel replay of the guarded kernel against the per-term loop.
+
+`per_term_mass` below is the float route as it was before the replay: every
+summand of the closed form through `term_factors` and `stable_term_product`,
+summed by `sum_term_values`.  The replay must give the same floats, bit for
+bit, so every comparison here is `==`.
+"""
+
+import math
+import random
+
+import pytest
+
+import bcdexact.stable
+from bcdexact.bias import selection_bias_report
+from bcdexact.design import DesignParams
+from bcdexact.exact import pmf_at, pmf_dn, pmf_masses, term_factors, var_dn
+from bcdexact.stable import (
+    FLOAT64_STABLE,
+    FactoredProduct,
+    NumericMode,
+    replay_term_products,
+    stable_term_product,
+    sum_term_values,
+)
+
+
+def per_term_mass(n, k, params, mode=FLOAT64_STABLE):
+    """P(D_n = k) summand by summand through the scalar kernel (the oracle)."""
+    k = abs(k)
+    if k > n or (n - k) % 2:
+        return 0.0
+    if n == 0:
+        return 1.0
+    sized = mode.sized_for(n)
+    q = float(params.q)
+    values = []
+    for l in range((n - k) // 2 + 1 if k > 0 else n // 2):
+        if q == 0.0 and (k + l - 1 if k > 0 else l) > 0:
+            continue
+        small, large = term_factors(n, k, l, params)
+        values.append(stable_term_product(small, large, sized))
+    return sum_term_values(values)
+
+
+def assert_law_matches(n, params, mode=FLOAT64_STABLE, ks=None):
+    ks = list(range(n % 2, n + 1, 2)) if ks is None else ks
+    got = pmf_masses([(n, k) for k in ks], params, mode)
+    for k, value in zip(ks, got):
+        want = per_term_mass(n, k, params, mode)
+        assert value == want and type(value) is float, (n, k, float(params.p), value, want)
+
+
+_rng = random.Random(20261018)
+RANDOM_PS = [round(0.5 + 0.5 * _rng.random(), 6) for _ in range(3)]
+
+
+# 0.5 ties p, q and 1/2 with the harmonic 1/2; q = 1/4 at p = 0.75 ties 1/4
+@pytest.mark.parametrize("p", [0.5, 0.501, 0.75, 0.999, 1.0, *RANDOM_PS])
+def test_replay_equals_the_per_term_kernel(p):
+    params = DesignParams(p)
+    for n in (1, 2, 3, 8, 41, 100, 171):
+        assert_law_matches(n, params)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.611, 0.999])
+def test_replay_equals_the_per_term_kernel_at_n_300(p):
+    assert_law_matches(300, DesignParams(p), ks=list(range(0, 301, 6)))
+
+
+def banked_lanes(n, params, mode):
+    """How many summands of the law of D_n bank under the underflow guard."""
+    sized = mode.sized_for(n)
+    count = 0
+    for k in range(n % 2, n + 1, 2):
+        for l in range((n - k) // 2 + 1 if k > 0 else n // 2):
+            if isinstance(stable_term_product(*term_factors(n, k, l, params), sized),
+                          FactoredProduct):
+                count += 1
+    return count
+
+
+def test_banked_lanes_keep_their_factored_products():
+    params = DesignParams(0.999)
+    assert banked_lanes(300, params, FLOAT64_STABLE) > 100
+    assert_law_matches(300, params, ks=list(range(150, 301, 2)))
+
+
+def test_a_custom_underflow_guard_is_honoured():
+    # near p = 1/2 no summand of n = 300 falls under 1e-300, but many fall
+    # under 1e-60, and banking there changes the rounding of the sum
+    mode = NumericMode(underflow_guard=1e-60)
+    params = DesignParams(0.501)
+    assert banked_lanes(300, params, FLOAT64_STABLE) == 0
+    assert banked_lanes(300, params, mode) > 500
+    ks = list(range(0, 301, 4))
+    assert_law_matches(300, params, mode, ks=ks)
+    assert pmf_masses([(300, k) for k in ks], params, mode) != pmf_masses(
+        [(300, k) for k in ks], params
+    )
+
+
+def test_a_custom_overflow_guard_is_honoured_and_checked():
+    params = DesignParams(0.7)
+    for guard in (81.0, 1e6):  # just above 2n, and far above it
+        assert_law_matches(40, params, NumericMode(overflow_guard=guard))
+    small = NumericMode(overflow_guard=80.0)
+    with pytest.raises(ValueError, match=r"overflow guard 80.0 is too small for n=40; need > 80"):
+        pmf_dn(40, params, small)
+    with pytest.raises(ValueError, match="too small for n=40"):
+        var_dn(40, params, small)
+    with pytest.raises(ValueError, match="too small for n=40"):
+        selection_bias_report(60, params, small)  # first at P(D_40 = 0)
+    assert pmf_at(41, 0, params, small) == 0.0  # off the support: no summand
+    assert pmf_at(0, 0, params, small) == 1.0
+
+
+def test_a_law_split_over_lane_batches_equals_one_batch(monkeypatch):
+    params = DesignParams(0.62)
+    points = [(n, k) for n in (57, 120) for k in range(n % 2, n + 1, 2)]
+    monkeypatch.setattr(bcdexact.stable, "LANE_BATCH", 1 << 20)
+    whole = pmf_masses(points, params)
+    monkeypatch.setattr(bcdexact.stable, "LANE_BATCH", 37)
+    assert pmf_masses(points, params) == whole
+    assert whole[:5] == [per_term_mass(n, k, params) for n, k in points[:5]]
+
+
+def test_selection_bias_report_reads_every_balance_from_the_batch():
+    params = DesignParams(0.66)
+    report = selection_bias_report(90, params)
+    for j, value in enumerate(report.per_step, start=1):
+        balanced = per_term_mass(j - 1, 0, params)
+        assert value == 0.5 * balanced + 0.66 * (1 - balanced)
+
+
+def kernel(n, k, l, p, big):
+    small, large = term_factors(n, k, l, DesignParams(p))
+    return stable_term_product(small, large, NumericMode(overflow_guard=big))
+
+
+@pytest.mark.parametrize("n,k,l,p,big", [
+    # the large factors 7, 8 make exactly M = 56, and only a product above
+    # M starts absorbing (with >= the lane gives 0.030965760000000012)
+    (9, 3, 3, 0.6, 56.0),
+    # absorbing small factors meets M = 120.96 exactly and goes on at M
+    # (with > the lane gives 0.02322432)
+    (9, 1, 4, 0.6, 120.96),
+])
+def test_replay_follows_the_guard_at_equality(n, k, l, p, big):
+    got = replay_term_products([n], [k], [l], p, 1.0 - p, [big]).tolist()
+    assert got == [kernel(n, k, l, p, big)]
+
+
+def test_replay_equals_the_kernel_on_random_summands():
+    rng = random.Random(7)
+    for _ in range(30):
+        p = rng.choice([0.5, 0.75, 0.9, 1.0, 0.5 + rng.random() / 2])
+        terms = []
+        while len(terms) < 40:
+            n = rng.randint(1, 160)
+            k = rng.randrange(n % 2, n + 1, 2)
+            l = rng.randint(0, (n - k) // 2 if k else n // 2 - 1)
+            if p == 1.0 and (k + l - 1 if k else l) > 0:  # identically zero
+                continue
+            big = rng.choice([2.0 * n + 1, 4.0 * n, 1e3 * n, 2.0 * n + rng.random()])
+            terms.append((n, k, l, big))
+        n, k, l, big = zip(*terms)
+        for term, value in zip(terms, replay_term_products(n, k, l, p, 1.0 - p, big).tolist()):
+            want = kernel(*term[:3], p, term[3])
+            if isinstance(want, FactoredProduct):
+                assert value < bcdexact.stable.DEFAULT_UNDERFLOW_GUARD
+            else:
+                assert value == want, (term, p)

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bcdexact.simulate
 from bcdexact.bias import selection_bias_step
 from bcdexact.covariance import joint_assignment, sigma, two_p_eigenvector
 from bcdexact.design import DesignParams
@@ -107,7 +108,7 @@ def test_enumeration_cap_is_enforced():
         enumerate_exact(0, P23, stat_balance())
 
 
-def test_parse_statistic_names():
+def test_parse_statistic_names(monkeypatch):
     assert parse_statistic("balance", 8).name == "balance"
     assert parse_statistic("variance", 8).name == "variance"
     assert parse_statistic("selection-bias", 8).name == "guess@8"
@@ -121,6 +122,12 @@ def test_parse_statistic_names():
     }
     for text, value in exact.items():
         assert parse_statistic(text, 8).exact(8, params) == value
+    # the balance reads its one mass, not the whole law of D_8
+    read = []
+    monkeypatch.setattr(bcdexact.simulate, "pmf_at",
+                        lambda *args: read.append(args[:2]) or pmf_at(*args))
+    assert parse_statistic("balance", 8).exact(8, params) == exact["balance"]
+    assert read == [(8, 0)]
     with pytest.raises(ValueError):
         parse_statistic("cov(5,2)", 8)
     with pytest.raises(ValueError):
