@@ -32,7 +32,7 @@ from .covariance import (
     verify_2p_eigenpair,
 )
 from .design import DesignParams, parse_probability
-from .exact import SCAN_N_MAX, StationaryDist, asymptotic_var, pmf_dn, var_dn
+from .exact import SCAN_N_MAX, StationaryDist, asymptotic_var, pmf_at, pmf_dn, var_dn
 from .simulate import (
     ScoreVector,
     TreatmentSequence,
@@ -52,10 +52,8 @@ RATIONAL_N_CAP = 64
 # Largest float covariance matrix the CLI builds.  The Sigma rows cost
 # O(n^3) Python steps in all and each Jacobi sweep O(n^3) in numpy; at this
 # size `eigen --check-conjecture` takes up to 4 s (2-vCPU Xeon VM) and 45 MB.
-# Do not raise it past about 450 while the rows come from the unguarded
-# closed-form scan: there its q^(k-1) start term leaves the normal float
-# range on masses still above 1e-290 (at n = 500, p = 0.83 the scan is off
-# by 1.6e-8 relative).
+# Time sets the cap, not accuracy: the rows' closed-form scan rescales its
+# start terms and stays accurate up to SCAN_N_MAX.
 FLOAT_SIGMA_N_CAP = 256
 
 _FRACTION_TAG = "/"
@@ -209,13 +207,13 @@ def _cmd_pmf(args) -> CommandOutput:
     _check_rational_cap(args, args.n)
     params = _params_of(args)
     mode = _mode_of(args)
-    dist = pmf_dn(args.n, params, mode)
     inputs = [("n", args.n), ("p", params.p)]
     if args.k is not None:
         inputs.append(("k", args.k))
-        value = dist.mass(args.k)
+        value = pmf_at(args.n, args.k, params, mode)
         record = _record(args, inputs, [("probability", value)])
         return CommandOutput(record, ["label", "value"], [["probability", value]])
+    dist = pmf_dn(args.n, params, mode)
     rows = [[k, dist.mass(k)] for k in dist.support()]
     values = [(str(k), mass) for k, mass in rows]
     return CommandOutput(_record(args, inputs, values), ["k", "probability"], rows)

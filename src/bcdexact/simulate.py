@@ -50,6 +50,11 @@ __all__ = [
 
 ENUMERATION_CAP = 16
 DEFAULT_BATCH_SIZE = 1 << 16
+# A batch draws its uniforms in chunks of about this many bytes, but of at
+# least MC_CHUNK_MIN_ROWS runs, so that each step's few numpy calls act on
+# enough runs to amortize their fixed cost when n is large.
+MC_CHUNK_BYTES = 1 << 22
+MC_CHUNK_MIN_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,9 @@ class PathStatistic:
     per_path sees a single path as index-able sequences and should return
     an int/Fraction when exact enumeration matters.  per_batch, when given,
     maps the (replicates x n) assignment and imbalance matrices to a vector
-    of values and keeps Monte Carlo fully vectorized.  exact, when given,
+    of values and keeps Monte Carlo fully vectorized; the imbalance matrix
+    it gets may be int16, so it widens before arithmetic that can leave
+    that range (per_path gets int64 rows).  exact, when given,
     maps (n, params) to the statistic's expectation from the closed forms.
     """
 
@@ -125,8 +132,9 @@ class PathStatistic:
     def batch_values(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
         if self.per_batch is not None:
             return np.asarray(self.per_batch(t, d), dtype=float)
+        # a narrow d row would wrap in per_path's own arithmetic (d * d)
         return np.array(
-            [float(self.per_path(t[i], d[i])) for i in range(t.shape[0])]
+            [float(self.per_path(t[i], d[i].astype(np.int64))) for i in range(t.shape[0])]
         )
 
 
@@ -281,22 +289,52 @@ class McEstimate:
     replicates: int
 
 
+def _chunk_rows(n: int) -> int:
+    """Runs of length n that `_simulate_batch` walks together."""
+    return max(MC_CHUNK_BYTES // (8 * n), MC_CHUNK_MIN_ROWS)
+
+
 def _simulate_batch(
     n: int, p: float, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized lockstep simulation of `size` independent runs."""
+    """`size` independent runs of length n, from size * n uniforms of rng.
+
+    Run r takes uniforms r*n .. r*n + n - 1 and step j goes up iff its
+    uniform lies below p, 1/2 or q as D_{j-1} < 0, = 0 or > 0.  Runs are
+    walked in row chunks of `_chunk_rows(n)`: consecutive draws continue
+    one stream, so the chunks see the uniforms of a single (size, n) draw.
+    Each chunk is turned step-major once, so every step reads and writes
+    contiguous vectors of runs.
+
+    t comes back as a C-ordered (size, n) int8 matrix.  d is the (size, n)
+    transpose of a step-major matrix, int16 (int64 from n = 32768 on).
+    """
     q = 1.0 - p
-    u = rng.random((size, n))
     t = np.empty((size, n), dtype=np.int8)
-    d_mat = np.empty((size, n), dtype=np.int64)
-    d = np.zeros(size, dtype=np.int64)
-    for j in range(n):
-        up = np.where(d == 0, 0.5, np.where(d < 0, p, q))
-        col = np.where(u[:, j] < up, 1, -1).astype(np.int8)
-        t[:, j] = col
-        d += col
-        d_mat[:, j] = d
-    return t, d_mat
+    d = np.empty((n, size), dtype=np.int16 if n < 32768 else np.int64)
+    rows = _chunk_rows(n)
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        u = rng.random((hi - lo, n)).T
+        # code = 2 * #{u < p, u < 1/2, u < q} - 3 is odd, and as q <= 1/2 <= p
+        # the step goes up iff code > 2 sign(D_{j-1})
+        code = (u < p).view(np.int8) + (u < 0.5).view(np.int8)
+        code += (u < q).view(np.int8)
+        del u  # the chunk's uniforms go before its steps are copied
+        steps = np.ascontiguousarray(code)
+        steps += steps
+        steps -= 3
+        sign = np.zeros(hi - lo, dtype=np.int8)
+        prev = np.zeros(hi - lo, dtype=d.dtype)
+        for j in range(n):
+            step = steps[j]
+            step -= sign
+            step -= sign
+            np.sign(step, out=step)
+            prev = np.add(prev, step, out=d[j, lo:hi])
+            np.sign(prev, out=sign, casting="unsafe")
+        t[lo:hi] = steps.T
+    return t, d.T
 
 
 def _batch_sizes(replicates: int, batch_size: int) -> list[int]:

@@ -61,6 +61,36 @@ def test_pmf_rational_mode_prints_fractions(capsys):
     assert "8/625" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--n", "41", "--p", "0.7", "--k", "3"),
+    ("--n", "41", "--p", "0.7", "--k", "-41"),
+    ("--n", "41", "--p", "0.7", "--k", "2"),  # off the parity support
+    ("--n", "41", "--p", "0.7", "--k", "43"),  # beyond n
+    ("--n", "0", "--p", "0.9", "--k", "0"),
+    ("--n", "230", "--p", "0.999", "--k", "0"),
+    ("--n", "12", "--p", "3/5", "--k", "4", "--mode", "rational"),
+    ("--n", "12", "--p", "3/5", "--k", "5", "--mode", "rational"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pmf_single_mass_reads_one_mass_with_the_law_bits(capsys, monkeypatch, argv, fmt):
+    # the value the whole law gives, rendered as the command renders it
+    _, law, _ = run_cli(capsys, "pmf", *argv[:4], *argv[6:])
+    k = int(argv[5])
+    masses = dict(csv_rows(law)[1])
+    zero = "0/1" if "rational" in argv else "0.0"
+    value = masses.get(str(k), zero)
+    calls = []
+    monkeypatch.setattr(bcdexact.cli, "pmf_dn", lambda *a: calls.append(a))
+    code, out, err = run_cli(capsys, "pmf", *argv, "--format", fmt)
+    assert code == 0 and err == "" and calls == []
+    if fmt == "csv":
+        assert out == f"label,value\nprobability,{value}\n"
+    else:
+        record = json.loads(out)
+        got = record["values"]
+        assert got == [["probability", value if "/" in value else float(value)]]
+
+
 def test_selection_bias_rational_totals(capsys):
     code, out, _ = run_cli(
         capsys, "selection-bias", "--n", "6", "--p", "2/3", "--mode", "rational"

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+import bcdexact.exact
 import bcdexact.stable
 from bcdexact.bias import selection_bias_report
 from bcdexact.design import DesignParams
@@ -171,3 +172,30 @@ def test_replay_equals_the_kernel_on_random_summands():
                 assert value < bcdexact.stable.DEFAULT_UNDERFLOW_GUARD
             else:
                 assert value == want, (term, p)
+
+
+def test_small_calls_take_the_scalar_kernel_with_the_replay_bits(monkeypatch):
+    points = [(n, k) for n in (1, 2, 3, 8, 40, 41, 80, 150) for k in (0, 1, 2, 5, n)]
+    modes = [FLOAT64_STABLE, NumericMode(underflow_guard=1e-60)]
+    cases = [(DesignParams(p), mode) for p in (0.5, 0.501, 0.7, 0.999, 1.0) for mode in modes]
+    calls = []
+    monkeypatch.setattr(bcdexact.exact, "replay_term_products",
+                        lambda *args: calls.append(1) or replay_term_products(*args))
+    scalar = [[pmf_at(n, k, params, mode) for n, k in points] for params, mode in cases]
+    assert calls == []
+    # some of these summands bank: P(D_150 = 0) at p = 0.999 under 1e-60
+    sized = modes[1].sized_for(150)
+    assert any(isinstance(stable_term_product(*term_factors(150, 0, l, DesignParams(0.999)),
+                                              sized), FactoredProduct) for l in range(75))
+    monkeypatch.setattr(bcdexact.exact, "SCALAR_LANES", 0)
+    replayed = [[pmf_at(n, k, params, mode) for n, k in points] for params, mode in cases]
+    assert calls
+    assert replayed == scalar
+
+
+def test_a_large_call_forced_through_the_scalar_kernel_keeps_its_bits(monkeypatch):
+    params = DesignParams(0.999)
+    points = [(n, k) for n in (57, 200) for k in range(n % 2, n + 1, 2)]
+    replayed = pmf_masses(points, params)
+    monkeypatch.setattr(bcdexact.exact, "SCALAR_LANES", 1 << 30)
+    assert pmf_masses(points, params) == replayed
