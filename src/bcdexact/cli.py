@@ -15,7 +15,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,7 +117,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return _encode(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -147,23 +146,23 @@ class CommandOutput:
 def _record(args, inputs: list, values: list) -> OutputRecord:
     return OutputRecord(
         command=args.command,
-        mode=getattr(args, "mode", "float"),
+        mode=args.mode,
         inputs=tuple(inputs),
         values=tuple(values),
     )
 
 
 def _mode_of(args):
-    return EXACT_RATIONAL if getattr(args, "mode", "float") == "rational" else FLOAT64_STABLE
+    return EXACT_RATIONAL if args.mode == "rational" else FLOAT64_STABLE
 
 
 def _params_of(args) -> DesignParams:
-    exact = getattr(args, "mode", "float") == "rational"
+    exact = args.mode == "rational"
     return DesignParams(parse_probability(args.p, exact=exact))
 
 
 def _check_rational_cap(args, n: int):
-    if getattr(args, "mode", "float") == "rational" and n > RATIONAL_N_CAP:
+    if args.mode == "rational" and n > RATIONAL_N_CAP:
         raise ValueError(
             f"rational mode supports n <= {RATIONAL_N_CAP} (got n = {n}); use --mode float"
         )
@@ -172,14 +171,14 @@ def _check_rational_cap(args, n: int):
 def _check_sigma_cap(args, n: int):
     """Refuse a covariance matrix larger than its mode's cap, before building it."""
     _check_rational_cap(args, n)
-    if getattr(args, "mode", "float") == "float" and n > FLOAT_SIGMA_N_CAP:
+    if args.mode == "float" and n > FLOAT_SIGMA_N_CAP:
         raise ValueError(
             f"{args.command} supports n <= {FLOAT_SIGMA_N_CAP} in float mode (got n = {n})"
         )
 
 
 def _float_only(args):
-    if getattr(args, "mode", "float") == "rational":
+    if args.mode == "rational":
         raise ValueError(f"{args.command} is Monte Carlo based and supports --mode float only")
 
 
@@ -634,7 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--reps", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--batch-size", type=int, default=1 << 16)
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    sub.add_argument("--threads", type=int, default=1,
+                     help="batches walked at once; the walk holds the GIL, so threads gain little")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_simulate)
 

@@ -14,9 +14,12 @@ each assignment is marginally a fair coin.
 The return probabilities come from the first-passage law of the biased
 walk (toward balance with probability p, away with q):
 
-    f_k(l) = (|k|/l) C(l, (l+|k|)/2) p^((l+|k|)/2) q^((l-|k|)/2)
+    f_k(u) = (|k|/u) C(u, (u+|k|)/2) p^((u+|k|)/2) q^((u-|k|)/2)
 
-for l >= |k| of matching parity, else 0.
+for u >= |k| of matching parity, else 0.  This is exactly the summand
+l = (u-|k|)/2 of the closed form of P(D_{u+|k|} = 0) in `exact`, so
+`first_visit` reads it from `exact._term`.  Its float overflow guard stays
+at 4u, the default for u steps, not the 4(u+|k|) of D_{u+|k|}.
 
 sigma(n) always carries the vector v = (sqrt(2)/2, -sqrt(2)/2, 0, ..., 0)
 as an eigenvector with eigenvalue 2p; `verify_2p_eigenpair` measures the
@@ -29,14 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 
 from .design import DesignParams, Number, transition_prob
-from .exact import ImbalancePMF, _two_sided_scan, pmf_dn
-from .stable import FLOAT64_STABLE, NumericMode, stable_term_product
+from .exact import ImbalancePMF, _term, _two_sided_scan, pmf_dn
+from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
     "AssignmentCovariance",
@@ -76,21 +78,10 @@ def first_visit(
         return mode.one if steps == 0 else mode.zero
     if steps < k or (steps - k) % 2:
         return mode.zero
-
-    toward = (steps + k) // 2  # moves toward balance, probability p each
-    away = (steps - k) // 2
-    if mode.is_exact:
-        params = mode.design(params)
-        p, q = params.p, params.q
-        return Fraction(k, steps) * math.comb(steps, toward) * p**toward * q**away
-
-    p, q = float(params.p), float(params.q)
-    if q == 0.0 and away > 0:
-        return 0.0
-    small = [k / steps] + [p] * toward + [q] * away
-    small += [1.0 / s for s in range(2, away + 1)]
-    large = [float(toward + s) for s in range(1, away + 1)]
-    return stable_term_product(small, large, mode.sized_for(steps))
+    params = mode.design(params)
+    if params.q == 0 and steps > k:
+        return mode.zero
+    return mode.sum([_term(steps + k, 0, (steps - k) // 2, params, mode.sized_for(steps))])
 
 
 class FirstVisitTable:
@@ -99,8 +90,7 @@ class FirstVisitTable:
     fhat_k(u) = sum_{l <= u} f_k(l) is the chance the walk re-balances from
     k within u steps; fhat_0 is identically 1.  Rows grow lazily, so one
     table can serve every horizon that shows up while filling a covariance
-    matrix.  Not thread-safe while growing; build it before any parallel
-    phase.
+    matrix.
     """
 
     def __init__(self, params: DesignParams, mode: NumericMode | str = FLOAT64_STABLE):

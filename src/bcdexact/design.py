@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
 
 Number = float | Fraction
@@ -43,7 +44,7 @@ class DesignParams:
         if not (Fraction(1, 2) <= p <= 1):
             raise ValueError(f"p must lie in [1/2, 1], got {p}")
 
-    @property
+    @cached_property  # a Fraction subtraction, read per summand by the closed forms
     def q(self) -> Number:
         return 1 - self.p
 

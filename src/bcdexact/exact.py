@@ -44,7 +44,6 @@ from .stable import (
     NumericMode,
     replay_term_products,
     stable_term_product,
-    sum_term_values,
 )
 
 __all__ = [
@@ -100,7 +99,15 @@ def term_factors(
     return small, large
 
 
-def _term_exact(n: int, k: int, l: int, p: Fraction, q: Fraction) -> Fraction:
+def _term(n: int, k: int, l: int, params: DesignParams, sized_mode: NumericMode) -> Number:
+    """The l-th summand of P(D_n = k), k >= 0, in the arithmetic of sized_mode.
+
+    Exact over Fractions in rational mode; in float mode the guarded product
+    of `term_factors`, a FactoredProduct when it banks, for `NumericMode.sum`.
+    """
+    if not sized_mode.is_exact:
+        return stable_term_product(*term_factors(n, k, l, params), sized_mode)
+    p, q = params.p, params.q
     if k > 0:
         return (
             Fraction(1, 2)
@@ -109,12 +116,7 @@ def _term_exact(n: int, k: int, l: int, p: Fraction, q: Fraction) -> Fraction:
             * p ** ((n - k) // 2)
             * q ** (k + l - 1)
         )
-    return (
-        Fraction(n - 2 * l, n + 2 * l)
-        * math.comb(n // 2 + l, l)
-        * p ** (n // 2)
-        * q**l
-    )
+    return Fraction(n - 2 * l, n + 2 * l) * math.comb(n // 2 + l, l) * p ** (n // 2) * q**l
 
 
 def pmf_at(
@@ -134,15 +136,14 @@ def pmf_masses(
 ) -> list[Number]:
     """P(D_n = k) for each (n, k) of points, in order, from the closed form.
 
-    Rational mode sums the exact summands.  Float mode replays the guarded
-    kernel on every summand of every point at once
-    (`stable.replay_term_products`), re-running through
-    `stable_term_product` the few that bank under the underflow guard, and
-    sums each point's values with `sum_term_values`: every mass is the same
-    float the kernel gives summand by summand.  A call with fewer than
-    SCALAR_LANES summands runs them all through the kernel instead, which
-    costs less than the replay's per-step numpy calls and gives the same
-    floats.
+    Rational mode, and a float call with fewer than SCALAR_LANES summands,
+    evaluate the summands one by one (`_term`); in float mode that is the
+    per-term kernel, which costs less there than the replay's per-step
+    numpy calls.  A larger float call replays the guarded kernel on every
+    summand of every point at once (`stable.replay_term_products`) and
+    re-runs through `_term` the few that bank under the underflow guard.
+    `NumericMode.sum` adds each point's values, so every float mass is the
+    same float the kernel gives summand by summand.
     """
     mode = NumericMode.coerce(mode)
     masses: list = []
@@ -159,41 +160,32 @@ def pmf_masses(
             upper = (n - k) // 2 if k > 0 else n // 2 - 1
             wanted.append((len(masses), n, k, upper, mode.sized_for(n)))
             masses.append(None)
-    if mode.is_exact:
-        params = mode.design(params)
-        p, q = params.p, params.q
-        for i, n, k, upper, _ in wanted:
-            masses[i] = mode.sum(_term_exact(n, k, l, p, q) for l in range(upper + 1))
-        return masses
+    params = mode.design(params)
     if not wanted:
         return masses
 
-    q = float(params.q)
+    q = params.q
     index, n, k, upper, sized = zip(*wanted)
     # lanes l = 0 .. upper of each point; at q == 0 only the summand free
     # of q is nonzero, and only for k <= 1
     counts = [u + 1 if q else int(kj <= 1) for kj, u in zip(k, upper)]
     bounds = [0, *itertools.accumulate(counts)]
-    if bounds[-1] < SCALAR_LANES:
+    if mode.is_exact or bounds[-1] < SCALAR_LANES:
         for i, nj, kj, count, mode_j in zip(index, n, k, counts, sized):
-            masses[i] = sum_term_values(
-                stable_term_product(*term_factors(nj, kj, l, params), mode_j)
-                for l in range(count)
-            )
+            masses[i] = mode.sum(_term(nj, kj, l, params, mode_j) for l in range(count))
         return masses
     n, k, big = (
         np.repeat(np.array(x, dtype=float), counts)
         for x in (n, k, [m.overflow_guard for m in sized])
     )
     l = np.arange(bounds[-1], dtype=float) - np.repeat(np.array(bounds[:-1], dtype=float), counts)
-    values = replay_term_products(n, k, l, float(params.p), q, big)
+    values = replay_term_products(n, k, l, float(params.p), float(q), big)
     terms = values.tolist()
     for lane in np.flatnonzero(values < mode.underflow_guard).tolist():
         j = bisect.bisect_right(bounds, lane) - 1
-        small, large = term_factors(int(n[lane]), int(k[lane]), int(l[lane]), params)
-        terms[lane] = stable_term_product(small, large, sized[j])
+        terms[lane] = _term(int(n[lane]), int(k[lane]), int(l[lane]), params, sized[j])
     for j, i in enumerate(index):
-        masses[i] = sum_term_values(terms[bounds[j]:bounds[j + 1]])
+        masses[i] = mode.sum(terms[bounds[j]:bounds[j + 1]])
     return masses
 
 

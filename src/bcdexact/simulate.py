@@ -348,6 +348,25 @@ def _batch_sizes(replicates: int, batch_size: int) -> list[int]:
     return [batch_size] * full + ([rest] if rest else [])
 
 
+def _over_batches(n, params, seed, sizes, per_batch, jobs=1) -> list:
+    """per_batch(t, d) of each batch of runs, batch b walked on stream (seed, b).
+
+    With jobs > 1 the batches run on that many threads; results keep the
+    batch order either way.  Workers' malloc arenas keep the batch memory
+    they freed, so a threaded run's peak RSS varies from run to run.
+    """
+    p = float(params.p)
+
+    def run(index_size):
+        index, size = index_size
+        return per_batch(*_simulate_batch(n, p, _stream(seed, index), size))
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run, enumerate(sizes)))
+    return [run(task) for task in enumerate(sizes)]
+
+
 def mc_estimate(
     n: int,
     params: DesignParams,
@@ -368,22 +387,14 @@ def mc_estimate(
         raise ValueError(f"n must be >= 1, got {n}")
     if replicates < 2:
         raise ValueError("need at least 2 replicates")
-    tasks = list(enumerate(_batch_sizes(replicates, batch_size)))
+    sizes = _batch_sizes(replicates, batch_size)
     stat = _coerce_statistic(statistic)
-    p = float(params.p)
 
-    def run(index_size) -> tuple[float, float]:
-        index, size = index_size
-        t, d = _simulate_batch(n, p, _stream(seed, index), size)
+    def moments(t, d) -> tuple[float, float]:
         values = stat.batch_values(t, d)
         return float(values.sum()), float((values * values).sum())
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(run, tasks))
-    else:
-        partials = [run(task) for task in tasks]
-
+    partials = _over_batches(n, params, seed, sizes, moments, jobs)
     total = math.fsum(s for s, _ in partials)
     total_sq = math.fsum(s2 for _, s2 in partials)
     mean = total / replicates
@@ -483,11 +494,10 @@ def rank_pvalue_mc(
     a = _scores_array(scores)
     if replicates < 1:
         raise ValueError("need at least 1 replicate")
-    n = a.size
-    p = float(params.p)
-    hits = 0
-    for index, size in enumerate(_batch_sizes(replicates, batch_size)):
-        t, _ = _simulate_batch(n, p, _stream(seed, index), size)
+
+    def hits(t, _d) -> int:
         w = t.astype(float) @ a
-        hits += int(np.count_nonzero(np.abs(w) >= abs(observed) - 1e-12))
-    return (hits + 1) / (replicates + 1)
+        return int(np.count_nonzero(np.abs(w) >= abs(observed) - 1e-12))
+
+    sizes = _batch_sizes(replicates, batch_size)
+    return (sum(_over_batches(a.size, params, seed, sizes, hits)) + 1) / (replicates + 1)

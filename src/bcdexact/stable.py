@@ -89,8 +89,9 @@ class NumericMode:
         return self.cast(Fraction(1, 2))
 
     def sum(self, values: Iterable) -> Fraction | float:
-        """Exact sum from Fraction(0) in rational mode, fsum in float mode."""
-        return sum(values, start=Fraction(0)) if self.is_exact else math.fsum(values)
+        """Exact sum from Fraction(0) in rational mode; in float mode
+        `sum_term_values`, an fsum that rescales any banked products."""
+        return sum(values, start=Fraction(0)) if self.is_exact else sum_term_values(values)
 
     def design(self, params: "DesignParams") -> "DesignParams":
         """The params to compute with: exact ones in rational mode, which

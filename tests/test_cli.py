@@ -352,6 +352,23 @@ def test_simulate_deterministic_coin_nails_the_neighbour_covariance(capsys):
     assert float(as_dict["exact"]) == -1.0
 
 
+def test_simulate_walks_its_batches_on_the_calling_thread_by_default(capsys, monkeypatch):
+    # worker threads keep freed batch memory in their own malloc arenas, so
+    # a threaded run's peak RSS changes from one run to the next
+    import bcdexact.simulate
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("simulate started a thread pool without --threads")
+
+    monkeypatch.setattr(bcdexact.simulate, "ThreadPoolExecutor", no_pool)
+    argv = ["simulate", "--n", "40", "--p", "0.7", "--statistic", "variance",
+            "--reps", "100000", "--seed", "5"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.undo()
+    assert run_cli(capsys, *argv, "--threads", "2") == (0, out, "")
+
+
 # ---------------------------------------------------------------------------
 # failure modes and exit codes
 
@@ -376,6 +393,32 @@ def test_usage_errors_exit_with_code_two(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert "--help" in err
+
+
+EDGE_INPUTS = [
+    *([command, "--n", "6", "--p", p] for command in ("pmf", "var", "eigen") for p in ("1", "1/2")),
+    *(["sigma", "--n", "6", "--p", p, "--mode", "rational"] for p in ("1", "1/2")),
+    *([command, "--p", p] for command in ("table2", "table3", "threshold") for p in ("1", "0.5")),
+    *(["stationary", "--p", p] for p in ("1", "1/2")),
+    *(["pmf", "--n", n, "--p", "0.7"] for n in ("0", "1")),
+    *(["var", "--n", n, "--p", "0.7"] for n in ("0", "1")),
+    *(["sigma", "--n", n, "--p", "0.7", "--mode", "rational"] for n in ("0", "1")),
+    *(["selection-bias", "--n", n, "--p", "1"] for n in ("0", "1")),
+    ["eigen", "--n", "1", "--p", "0.7"],
+    ["accidental-bias", "--n", "1", "--p", "0.7"],
+    ["table2", "--even-n", "0", "--odd-n", "1"],
+    ["table3", "--n", "0,1"],
+    ["threshold", "--n-max", "1"],
+    ["simulate", "--n", "1", "--p", "1", "--statistic", "balance", "--reps", "2"],
+    ["simulate", "--n", "600", "--p", "0.99", "--statistic", "cov(1,600)", "--reps", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", EDGE_INPUTS, ids=" ".join)
+def test_edge_inputs_are_answered_or_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 2), err
+    assert (out != "") == (code == 0)
 
 
 def test_ranktest_reps_without_an_observed_run_is_an_error(tmp_path, capsys):
