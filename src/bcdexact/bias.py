@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +43,7 @@ __all__ = [
     "accidental_bias",
     "asymptotic_excess",
     "selection_bias_report",
+    "selection_bias_reports",
     "selection_bias_step",
     "total_bias_closed_form",
 ]
@@ -102,13 +104,25 @@ def selection_bias_report(
     mode: NumericMode | str = FLOAT64_STABLE,
 ) -> SelectionBiasReport:
     """Per-step guess rates b_1 .. b_n, from all P(D_{j-1} = 0) in one batch."""
+    return selection_bias_reports([n], params, mode)[0]
+
+
+def selection_bias_reports(
+    ns: Sequence[int],
+    params: DesignParams,
+    mode: NumericMode | str = FLOAT64_STABLE,
+) -> list[SelectionBiasReport]:
+    """`selection_bias_report` for each n of ns, read off one batch of the
+    balance masses P(D_j = 0), j < max(ns).  A mass does not depend on the
+    batch it is computed in, so each report equals its own."""
     mode = NumericMode.coerce(mode)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    for n in ns:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
     design = mode.design(params)
-    balanced = pmf_masses([(j, 0) for j in range(n)], design, mode)
+    balanced = pmf_masses([(j, 0) for j in range(max(ns, default=0))], design, mode)
     steps = tuple(_guess_rate(b, design, mode) for b in balanced)
-    return SelectionBiasReport(n=n, params=params, per_step=steps)
+    return [SelectionBiasReport(n=n, params=params, per_step=steps[:n]) for n in ns]
 
 
 def total_bias_closed_form(

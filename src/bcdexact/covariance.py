@@ -248,19 +248,20 @@ def _first_return_table(n: int, params: DesignParams, one: Number) -> np.ndarray
 def _imbalance_laws(n: int, params: DesignParams, mode: NumericMode):
     """Signed laws {k: P(D_m = k)} for m = 0 .. n - 1.
 
-    Float mode reads every mass off the closed-form ratio scan, one scan
-    per |k| over all m of its parity; rational mode uses the exact pmf_dn.
+    Float mode reads every mass off one call of the closed-form ratio scan
+    over all (m, k), and fills each law k by k, +k before -k; rational
+    mode uses the exact pmf_dn.
     """
     if mode.is_exact:
         return [dict(pmf_dn(m, params, mode).masses) for m in range(n)]
+    lane_m = [m for k in range(n) for m in range(k, n, 2)]
+    lane_k = [k for k in range(n) for _ in range(k, n, 2)]
     laws: list[dict[int, Number]] = [{} for _ in range(n)]
-    for k in range(n):
-        ms = range(k, n, 2)
-        for m, two_sided in zip(ms, _two_sided_scan(k, params.p, ms)):
-            if k:
-                laws[m][k] = laws[m][-k] = two_sided / 2
-            else:
-                laws[m][0] = two_sided
+    for m, k, two_sided in zip(lane_m, lane_k, _two_sided_scan(lane_m, lane_k, params.p)):
+        if k:
+            laws[m][k] = laws[m][-k] = two_sided / 2
+        else:
+            laws[m][0] = two_sided
     return laws
 
 

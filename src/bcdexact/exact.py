@@ -32,12 +32,14 @@ import bisect
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import stable
 from .design import DesignParams, Number
 from .stable import (
     FLOAT64_STABLE,
@@ -55,6 +57,7 @@ __all__ = [
     "pmf_dn",
     "pmf_masses",
     "steady_state_threshold",
+    "steady_state_threshold_table",
     "steady_state_thresholds",
     "term_factors",
     "var_dn",
@@ -64,10 +67,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # closed-form point masses
 
-# Float calls with fewer summands than this take the per-term kernel: on a
-# single mass it beats the replay up to about 120 summands at n = 240
-# (p = 0.55 to 0.9; 2-vCPU Xeon VM).
-SCALAR_LANES = 100
+# Float calls with fewer summands than this take the per-term kernel: it
+# beats the replay on a single mass up to about 130 summands (n = 260) and
+# on a whole law up to about 120 (n = 28), p = 0.55 to 0.9 (2-vCPU Xeon VM).
+SCALAR_LANES = 128
 
 
 def term_factors(
@@ -119,6 +122,24 @@ def _term(n: int, k: int, l: int, params: DesignParams, sized_mode: NumericMode)
     return Fraction(n - 2 * l, n + 2 * l) * math.comb(n // 2 + l, l) * p ** (n // 2) * q**l
 
 
+def _exact_mass(n: int, k: int, count: int, params: DesignParams) -> Fraction:
+    """P(D_n = k), k >= 0, from its summands l < count over Fractions.
+
+    Every summand of a point carries p^((n-k)/2), and for k > 0 also 1/2
+    and q^(k-1): they multiply the sum once, and q^l is carried from one
+    summand to the next.  The value is exactly the sum of `_term`.
+    """
+    p, q = params.p, params.q
+    a = (n + k) // 2
+    total, q_power = Fraction(0), Fraction(1)
+    for l in range(count):
+        total += Fraction(n + k - 2 * l, n + k + 2 * l) * math.comb(a + l, l) * q_power
+        q_power *= q
+    if k > 0:
+        return Fraction(1, 2) * p ** ((n - k) // 2) * q ** (k - 1) * total
+    return p ** (n // 2) * total
+
+
 def pmf_at(
     n: int,
     k: int,
@@ -136,14 +157,14 @@ def pmf_masses(
 ) -> list[Number]:
     """P(D_n = k) for each (n, k) of points, in order, from the closed form.
 
-    Rational mode, and a float call with fewer than SCALAR_LANES summands,
-    evaluate the summands one by one (`_term`); in float mode that is the
-    per-term kernel, which costs less there than the replay's per-step
-    numpy calls.  A larger float call replays the guarded kernel on every
-    summand of every point at once (`stable.replay_term_products`) and
-    re-runs through `_term` the few that bank under the underflow guard.
-    `NumericMode.sum` adds each point's values, so every float mass is the
-    same float the kernel gives summand by summand.
+    Rational mode sums each point exactly (`_exact_mass`).  A float call
+    with fewer than SCALAR_LANES summands evaluates them one by one
+    through the per-term kernel (`_term`), which costs less there than the
+    replay's per-step numpy calls.  A larger float call replays the guarded kernel on the
+    summands of whole points, at most LANE_BATCH of them at a time
+    (`_replayed_masses`), so its working set stays bounded however many
+    points it asks for.  Every float mass is the same float the kernel
+    gives summand by summand.
     """
     mode = NumericMode.coerce(mode)
     masses: list = []
@@ -169,24 +190,58 @@ def pmf_masses(
     # lanes l = 0 .. upper of each point; at q == 0 only the summand free
     # of q is nonzero, and only for k <= 1
     counts = [u + 1 if q else int(kj <= 1) for kj, u in zip(k, upper)]
-    bounds = [0, *itertools.accumulate(counts)]
-    if mode.is_exact or bounds[-1] < SCALAR_LANES:
+    if mode.is_exact:
+        for i, nj, kj, count in zip(index, n, k, counts):
+            masses[i] = _exact_mass(nj, kj, count, params)
+        return masses
+    if sum(counts) < SCALAR_LANES:
         for i, nj, kj, count, mode_j in zip(index, n, k, counts, sized):
             masses[i] = mode.sum(_term(nj, kj, l, params, mode_j) for l in range(count))
         return masses
-    n, k, big = (
-        np.repeat(np.array(x, dtype=float), counts)
-        for x in (n, k, [m.overflow_guard for m in sized])
-    )
-    l = np.arange(bounds[-1], dtype=float) - np.repeat(np.array(bounds[:-1], dtype=float), counts)
-    values = replay_term_products(n, k, l, float(params.p), float(q), big)
-    terms = values.tolist()
-    for lane in np.flatnonzero(values < mode.underflow_guard).tolist():
-        j = bisect.bisect_right(bounds, lane) - 1
-        terms[lane] = _term(int(n[lane]), int(k[lane]), int(l[lane]), params, sized[j])
-    for j, i in enumerate(index):
-        masses[i] = mode.sum(terms[bounds[j]:bounds[j + 1]])
+    # whole points, in the fewest chunks of at most LANE_BATCH summands,
+    # each filled up to about an equal share of the call's summands
+    chunks = max(-(-sum(counts) // stable.LANE_BATCH), 1)
+    share = -(-sum(counts) // chunks)
+    start = 0
+    while start < len(index):
+        stop, lanes = start + 1, counts[start]
+        while (stop < len(index) and lanes < share
+               and lanes + counts[stop] <= stable.LANE_BATCH):
+            lanes += counts[stop]
+            stop += 1
+        chunk = slice(start, stop)
+        found = _replayed_masses(n[chunk], k[chunk], counts[chunk], sized[chunk], params, mode)
+        for i, mass in zip(index[chunk], found):
+            masses[i] = mass
+        start = stop
     return masses
+
+
+def _replayed_masses(n, k, counts, sized, params: DesignParams, mode: NumericMode) -> list[float]:
+    """P(D_n[j] = k[j]) from one replay of summands l < counts[j] of each point.
+
+    The few summands that bank under the underflow guard are re-run
+    through `_term`, and `NumericMode.sum` adds each point's values; where
+    none banks, that sum is the fsum of the replayed floats.
+    """
+    bounds = [0, *itertools.accumulate(counts)]
+    # the lane arrays are passed, not kept: the replay holds the only copy
+    values = replay_term_products(
+        np.repeat(n, counts),
+        np.repeat(k, counts),
+        np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts),  # l
+        float(params.p),
+        float(params.q),
+        np.repeat([m.overflow_guard for m in sized], counts),
+    )
+    banked = np.flatnonzero(values < mode.underflow_guard).tolist()
+    if not banked:
+        return [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    terms = values.tolist()
+    for lane in banked:
+        j = bisect.bisect_right(bounds, lane) - 1
+        terms[lane] = _term(n[j], k[j], lane - bounds[j], params, sized[j])
+    return [mode.sum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -376,8 +431,8 @@ def asymptotic_var(params: DesignParams, parity: str) -> Number:
 SCAN_N_MAX = 1500
 
 
-def _two_sided_scan(k: int, p: float, ns: Sequence[int]) -> list[float]:
-    """P(|D_n| = k) for each n in ns (all of k's parity), float64.
+def _two_sided_scan(n: Sequence[int], k: Sequence[int], p: float) -> list[float]:
+    """P(|D_n| = k) for each lane (n[i], k[i]), k <= n of n's parity, float64.
 
     Evaluates the closed-form sum by the consecutive-term ratio
 
@@ -389,37 +444,63 @@ def _two_sided_scan(k: int, p: float, ns: Sequence[int]) -> list[float]:
     mass instead of the O(n^2) of the factor-kernel route.  The first term
     q^(k-1) and the factor p^((n-k)/2) are carried as power-of-two
     rescalings (`_scaled_power`), so neither underflows before the mass
-    does; the sum itself stays finite for n <= SCAN_N_MAX.  Agreement with
-    pmf_at and with the forward recurrence is pinned by tests.
+    does; the sum itself stays finite for n <= SCAN_N_MAX.
+
+    One numpy lane per mass runs the scalar loop `term *= q * r1 * r2 * r3;
+    total += term` in its order, and quotients of small integers round in
+    numpy as in Python, so each mass is the float that loop gives.  Lanes
+    are sorted by term count, longest first, so step l runs only on the
+    prefix of lanes with more than l ratio steps left.  Agreement with the
+    scalar loop, with pmf_at and with the forward recurrence is pinned by
+    tests.
     """
+    if any(j > m or (m - j) % 2 for m, j in zip(n, k)):
+        raise ValueError("every lane needs k <= n of n's parity")
     q = 1.0 - p
-    out = []
-    for n in ns:
-        if (n - k) % 2:
-            raise ValueError(f"n={n} has the wrong parity for k={k}")
-        if k > n:
-            out.append(0.0)
-            continue
-        if k > 0:
-            a = (n + k) // 2
-            n_extra = (n - k) // 2
-            term, shift = _scaled_power(q, k - 1)
-        else:
-            a = n // 2
-            n_extra = n // 2 - 1
-            term, shift = 1.0, 0
-        total = term
-        for l in range(n_extra):
-            term *= (
-                q
-                * ((n + k - 2 * l - 2) / (n + k - 2 * l))
-                * ((n + k + 2 * l) / (n + k + 2 * l + 2))
-                * ((a + l + 1) / (l + 1))
-            )
-            total += term
-        p_power, p_shift = _scaled_power(p, (n - k) // 2)
-        out.append(math.ldexp(p_power * total, shift + p_shift))
-    return out
+    steps = [(m - j) // 2 if j else max(m // 2 - 1, 0) for m, j in zip(n, k)]
+    order = np.array(sorted(range(len(steps)), key=steps.__getitem__, reverse=True), dtype=np.intp)
+    # the prefix of lanes still running at step l, longest first
+    tops, top, ending = [], len(steps), Counter(steps)
+    for l in range(max(steps, default=0)):
+        top -= ending[l]
+        tops.append(top)
+    n, k = np.array(n, dtype=float)[order], np.array(k, dtype=float)[order]
+    term, shift = _scaled_powers(q, np.maximum(k - 1, 0))  # q^0 = 1 starts k = 0
+    p_power, p_shift = _scaled_powers(p, (n - k) / 2)
+    shift += p_shift
+    total = term.copy()
+    both = n + k
+    a = both / 2 + 1  # the binomial numerator at l = 0
+    del n, k, p_shift, steps, ending
+    rows = np.empty((3, both.size))
+    for l, top in enumerate(tops):
+        factor, num, den = rows[:, :top]
+        np.subtract(both[:top], 2 * l, out=den)
+        np.subtract(den, 2.0, out=factor)
+        np.divide(factor, den, out=factor)  # (n+k-2l-2)/(n+k-2l)
+        factor *= q
+        np.add(both[:top], 2 * l, out=num)
+        np.add(num, 2.0, out=den)
+        np.divide(num, den, out=num)  # (n+k+2l)/(n+k+2l+2)
+        factor *= num
+        np.add(a[:top], l, out=num)
+        num /= l + 1  # ((n+k)/2 + l + 1)/(l + 1)
+        factor *= num
+        lane_term = term[:top]
+        lane_term *= factor
+        total[:top] += lane_term
+    total *= p_power
+    masses = np.empty(both.size)
+    masses[order] = np.ldexp(total, shift.astype(np.intp))
+    return masses.tolist()
+
+
+def _scaled_powers(x: float, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_scaled_power` of x for each exponent of e (whole numbers), as the
+    factors and the power-of-two shifts, both float arrays."""
+    pairs = np.array([_scaled_power(x, j) for j in range(int(e.max(initial=0)) + 1)])
+    at = e.astype(np.intp)
+    return pairs[:, 0][at], pairs[:, 1][at]
 
 
 def _scaled_power(x: float, e: int) -> tuple[float, int]:
@@ -463,13 +544,42 @@ def steady_state_thresholds(
 ) -> list[int | None]:
     """`steady_state_threshold` for each tolerance, from one scan of the
     masses P(|D_n| = k), n <= n_max."""
+    return steady_state_threshold_table([k], params, tols, n_max)[0]
+
+
+def steady_state_threshold_table(
+    ks: Sequence[int],
+    params: DesignParams,
+    tols: Sequence[float],
+    n_max: int = 500,
+) -> list[list[int | None]]:
+    """`steady_state_thresholds` for each k of ks, from one scan call over
+    the masses P(|D_n| = k), n <= n_max, of every k."""
+    horizons = [_threshold_horizon(k, tols, n_max) for k in ks]
+    if not tols or not ks:
+        return [[] for _ in ks]
+    stationary = StationaryDist(params)
+    lane_n = [n for ns in horizons for n in ns]
+    lane_k = [k for k, ns in zip(ks, horizons) for _ in ns]
+    masses = _two_sided_scan(lane_n, lane_k, float(params.p))
+    table, start = [], 0
+    for k, ns in zip(ks, horizons):
+        target = float(stationary.two_sided_limit(k))
+        found = masses[start:start + len(ns)]
+        table.append([_settled_from(ns, found, target, tol) for tol in tols])
+        start += len(ns)
+    return table
+
+
+def _threshold_horizon(k: int, tols: Sequence[float], n_max: int) -> range:
+    """The candidate n of k's parity, after checking k, tols and n_max."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if any(tol <= 0 for tol in tols):
         raise ValueError("tolerance must be positive")
-    if not tols:
-        return []
     start = 2 if k == 0 else k
+    if not tols:
+        return range(0)
     if n_max < start:
         raise ValueError(f"n_max={n_max} is below the first candidate n={start}")
     if n_max > SCAN_N_MAX:
@@ -477,10 +587,7 @@ def steady_state_thresholds(
             f"n_max={n_max} is above {SCAN_N_MAX}, the largest horizon "
             "the threshold scan is checked to"
         )
-    target = float(StationaryDist(params).two_sided_limit(k))
-    ns = range(start, n_max + 1, 2)
-    masses = _two_sided_scan(k, float(params.p), ns)
-    return [_settled_from(ns, masses, target, tol) for tol in tols]
+    return range(start, n_max + 1, 2)
 
 
 def _settled_from(ns: range, masses: list[float], target: float, tol: float) -> int | None:

@@ -23,8 +23,10 @@ FactoredProduct, a list of sub-products whose true value is their product;
 downstream sums rescale these instead of collapsing them to 0.0.
 
 `replay_term_products` runs the same multiplies for many terms at once,
-one numpy lane per term, and is the route the closed forms take in float
-mode; `stable_term_product` is its per-term reference and its fallback.
+one numpy lane per term, in batches of lanes sorted by their multiply
+count, each step running only on the lanes not yet finished.  It is the
+route the closed forms take in float mode; `stable_term_product` is its
+per-term reference and its fallback.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ if TYPE_CHECKING:
     from .design import DesignParams
 
 DEFAULT_UNDERFLOW_GUARD = 1e-300
-LANE_BATCH = 2048  # lanes replayed together; bounds the replay's working set
+LANE_BATCH = 4096  # lanes replayed together; bounds the replay's working set to about 1 MB
 
 FLOAT_KIND = "float64-stable"
 RATIONAL_KIND = "exact-rational"
@@ -242,25 +244,98 @@ def replay_term_products(
     re-runs every lane that does through `stable_term_product`.
     """
     n, k, l, big = (np.asarray(x, dtype=float) for x in (n, k, l, big))
-    products = np.empty(n.size)
-    # batch lanes of similar length, so few finish long before their batch
-    length = 2 * l + np.maximum(l - 1, 0) + (n + k) / 2
+    # a lane's multiply count: l large factors, l - 1 harmonics and
+    # (n+k)/2 + l + 1 constants; sorted, so a batch's live lanes are a suffix
+    length = 2 * l + np.maximum(l - 1, 0) + (n + k) / 2 + 1
     order = np.argsort(length, kind="stable")
-    for start in range(0, order.size, LANE_BATCH):
-        lanes = order[start:start + LANE_BATCH]
-        products[lanes] = _replay_batch(n[lanes], k[lanes], l[lanes], p, q, big[lanes])
+    n, k, l, big, length = (x[order] for x in (n, k, l, big, length))
+    products = np.empty(n.size)
+    for start in range(0, n.size, LANE_BATCH):
+        batch = slice(start, start + LANE_BATCH)
+        products[order[batch]] = _replay_batch(
+            n[batch], k[batch], l[batch], p, q, big[batch], length[batch])
     return products
 
 
-def _replay_batch(n, k, l, p, q, big) -> np.ndarray:
-    """One batch of `replay_term_products`, lanes in lock step.
+def _replay_batch(n, k, l, p, q, big, length) -> np.ndarray:
+    """One batch of `replay_term_products`, lanes sorted by length.
 
     The sorted small factors of a lane are generated, not stored: the
     harmonics 1/2 > 1/3 > ... > 1/l merged with at most four constant runs
-    (the ratio, p, 1/2 and q), each entering once every harmonic above it
-    is used.  A lane's runs sit in a row of a small table, largest value
-    first, and the row ends with a sentinel run of factor 1.0 that enters
-    after the last harmonic, so a finished lane stands still.
+    (the ratio, p, 1/2 and q), as segments of `_segment_table`.  A lane of
+    length L makes its multiplies at steps 0 .. L - 1, so step s runs only
+    on the suffix of lanes longer than s, and every per-step operation
+    writes in place into that suffix.
+    """
+    lanes = n.size
+    values, bounds = _segment_table(n, k, l, p, q)
+    segment = np.arange(0, lanes * SEGMENTS, SEGMENTS)  # each lane's current segment
+    state = np.empty((11, lanes))
+    state[0] = values[segment]
+    state[1:3] = bounds[:, segment]
+    state[3] = 1.0  # the running product
+    state[4] = (n + k) / 2 + 1  # the next large factor
+    state[5] = state[4] + l  # past the last one
+    state[6] = 0.0  # small factors used
+    state[7] = big
+    steps = int(length[-1])
+    live = np.searchsorted(length, np.arange(steps), side="right").tolist()
+    del n, k, l, big, length  # the batch's inputs: keep the loop's working set small
+    flags = np.ones((3, lanes), dtype=bool)
+    first = -1
+    for s in range(steps):
+        if live[s] != first:
+            first = live[s]
+            (value, shift, stop, prod, large, large_end, i, guard,
+             take_large, factor, scratch) = segments = state[:, first:]
+            calm, moved, more_large = flags[:, first:]
+            lane_segment = segment[first:]
+        np.less(large, large_end, out=more_large)
+        np.logical_and(more_large, calm, out=take_large)
+        # the next small factor is the larger of the segment's run value
+        # and harmonic, and a large factor is above both
+        np.subtract(i, shift, out=factor)
+        np.divide(1.0, factor, out=factor)
+        np.maximum(factor, value, out=factor)
+        np.multiply(large, take_large, out=scratch)
+        np.maximum(factor, scratch, out=factor)
+        prod *= factor
+        # a large factor starts absorbing when prod > M, a small one keeps
+        # it going while prod >= M (the kernel's absorb_small)
+        np.less(prod, guard, out=calm)
+        np.equal(prod, guard, out=moved)
+        if moved.any():
+            calm |= moved & (take_large > 0)
+        large += take_large
+        i += 1.0
+        i -= take_large
+        np.greater_equal(i, stop, out=moved)
+        rows = moved.nonzero()[0]
+        if rows.size:
+            at = lane_segment[rows] + 1
+            lane_segment[rows] = at
+            value[rows] = values[at]
+            segments[1:3, rows] = bounds[:, at]
+    return state[3]
+
+
+SEGMENTS = 6  # four runs, a harmonic gap before a run past the harmonics, the tail
+
+
+def _segment_table(n, k, l, p, q) -> tuple[np.ndarray, np.ndarray]:
+    """The segments of each lane's sorted small factors, SEGMENTS a lane.
+
+    A run enters once every harmonic strictly above its value is used, so
+    while a run is next its value is below the next harmonic and not above
+    any harmonic it skips: the next small factor is the larger of the two.
+    Segment g of a lane covers small positions up to stop[g]; position i
+    offers its run value[g] and the harmonic 1/(i - shift[g]), shift being
+    the constants ahead less 2.  A run that starts after the last harmonic
+    gets its own segment with shift -inf, whose harmonic is 0, after a
+    segment of value 0 that takes the harmonics left before it, and a
+    last segment of value 0 takes the harmonics after the last run.
+    Returns the values and the (shift, stop) pairs, small integers kept as
+    float32.
     """
     lanes = n.size  # n, k and l hold integers; n + k is even
     side = np.minimum(k, 1.0)  # the factor 1/2 comes with k > 0
@@ -270,65 +345,34 @@ def _replay_batch(n, k, l, p, q, big) -> np.ndarray:
     harmonics = np.maximum(l - 1, 0)
     above = -1.0 / np.arange(2, max(int(l.max()), 2) + 1)
 
-    # a row per lane, by position i among its small factors: run g takes
-    # positions start .. stop - 1, and before it position i holds the
-    # harmonic 1/(i - shift), shift being the constants ahead of it less 2
-    width = 5
-    values = np.ones(lanes * width)
+    values = np.zeros(lanes * SEGMENTS)
+    bounds = np.empty((2, lanes * SEGMENTS), dtype=np.float32)
+    shift, stop = bounds
     total = np.zeros(lanes)  # constant factors so far
-    start = np.repeat(harmonics, width)
-    shift = np.full(lanes * width, -2.0)
-    stop = np.full(lanes * width, np.inf)
-    cell = np.arange(0, lanes * width, width)  # where each lane's next run goes
+    used = np.zeros(lanes)  # small positions covered so far
+    cell = np.arange(0, lanes * SEGMENTS, SEGMENTS)  # where each lane's next segment goes
     for rank in range(4):
         # the run of this rank: the ratio at its slot, else a fixed constant
         before, after = fixed[min(rank, 2)], fixed[max(rank - 1, 0)]
         value = np.where(rank < slot, before[0], np.where(rank == slot, ratio, after[0]))
         count = np.where(rank < slot, before[1], np.where(rank == slot, 1, after[1]))
-        # empty runs are left out; a run enters once the harmonics strictly
-        # above its value are used
-        kept = np.flatnonzero(count > 0)
+        kept = np.flatnonzero(count > 0)  # empty runs are left out
+        value, count, taken = value[kept], count[kept], total[kept]
+        skipped = np.searchsorted(above, -value)  # harmonics strictly above the run
+        start = np.minimum(skipped, harmonics[kept]) + taken
+        past = skipped >= harmonics[kept]
+        gap = past & (start > used[kept])  # harmonics left before such a run
+        at = cell[kept[gap]]
+        shift[at], stop[at] = taken[gap] - 2, start[gap]
+        cell[kept[gap]] += 1
         at = cell[kept]
-        values[at] = value[kept]
-        start[at] = np.minimum(np.searchsorted(above, -value[kept]), harmonics[kept]) + total[kept]
-        shift[at] = total[kept] - 2
-        stop[at] = start[at] + count[kept]
+        values[at] = value
+        shift[at] = np.where(past, -np.inf, taken - 2)
+        stop[at] = used[kept] = start + count
         cell[kept] += 1
-        total += count
-    # the sentinel: factor 1.0 after the last harmonic, so a finished lane
-    # stands still
-    at = cell
-    start[at] = harmonics + total
-    shift[at] = total - 2
-    steps = int((l + harmonics + total).max())
-    del side, ratio, slot, value, count, kept, at, cell, total  # keep the loop's set small
-
-    run = np.arange(0, lanes * width, width)
-    run_value, run_start, run_shift, run_stop = values[run], start[run], shift[run], stop[run]
-    prod = np.ones(lanes)
-    large = (n + k) / 2 + 1  # next large factor
-    large_end = large + l
-    absorbing = np.zeros(lanes, dtype=bool)
-    i = np.zeros(lanes)  # small factors used
-    for _ in range(steps):
-        take_large = (large < large_end) & ~absorbing
-        take_run = i >= run_start
-        prod *= np.where(take_large, large, np.where(take_run, run_value, 1.0 / (i - run_shift)))
-        # a large factor starts absorbing when prod > M, a small one keeps it
-        # going while prod >= M (the kernel's absorb_small)
-        absorbing = prod >= big
-        on_guard = prod == big
-        if on_guard.any():
-            absorbing &= ~(on_guard & take_large)
-        large += take_large
-        i += ~take_large
-        moved = np.flatnonzero(i >= run_stop)
-        if moved.size:
-            run[moved] += 1
-            at = run[moved]
-            run_value[moved], run_start[moved] = values[at], start[at]
-            run_shift[moved], run_stop[moved] = shift[at], stop[at]
-    return prod
+        total[kept] += count
+    shift[cell], stop[cell] = total - 2, np.inf
+    return values, bounds
 
 
 TermValue = float | FactoredProduct

@@ -13,9 +13,9 @@ from __future__ import annotations
 import decimal
 from typing import Sequence
 
-from .bias import asymptotic_excess, selection_bias_report
+from .bias import asymptotic_excess, selection_bias_reports
 from .design import DesignParams
-from .exact import asymptotic_var, steady_state_thresholds, var_dn
+from .exact import asymptotic_var, steady_state_threshold_table, var_dn
 from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
@@ -58,17 +58,18 @@ def threshold_grid(
     One row per (k, p, tolerance) with the first same-parity n whose
     relative error against the limiting two-sided mass stays within the
     tolerance for good; rows that never settle by n_max carry None.  Each
-    (k, p) scans its masses once for all the tolerances.
+    p scans the masses of every k once for all the tolerances.
     """
-    rows = []
-    for k in k_values:
-        for p in p_values:
-            found = steady_state_thresholds(k, DesignParams(p), tolerances, n_max=n_max)
-            rows += [
-                {"k": k, "p": p, "tol": tol, "n_threshold": n}
-                for tol, n in zip(tolerances, found)
-            ]
-    return rows
+    found = [
+        steady_state_threshold_table(k_values, DesignParams(p), tolerances, n_max=n_max)
+        for p in p_values
+    ]
+    return [
+        {"k": k, "p": p, "tol": tol, "n_threshold": n}
+        for i, k in enumerate(k_values)
+        for p, table in zip(p_values, found)
+        for tol, n in zip(tolerances, table[i])
+    ]
 
 
 def variance_grid(
@@ -110,13 +111,17 @@ def selection_bias_grid(
     mode: NumericMode | str = FLOAT64_STABLE,
     places: int = 3,
 ) -> list[dict]:
-    """Average per-draw excess guessing success, with the n->inf row."""
+    """Average per-draw excess guessing success, with the n->inf row.
+
+    Each p computes its balance masses once, for the largest n, and reads
+    every n's report off them.
+    """
     mode = NumericMode.coerce(mode)
-    cells = [
-        (n, p, selection_bias_report(n, DesignParams(p), mode).average_excess)
-        for n in n_values
+    excess = [
+        [report.average_excess for report in selection_bias_reports(n_values, DesignParams(p), mode)]
         for p in p_values
     ]
+    cells = [(n, p, excess[j][i]) for i, n in enumerate(n_values) for j, p in enumerate(p_values)]
     cells += [(None, p, asymptotic_excess(DesignParams(p))) for p in p_values]
     return [
         {

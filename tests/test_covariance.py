@@ -9,6 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import bcdexact.covariance
 import bruteforce as bf
 from bcdexact.cli import FLOAT_SIGMA_N_CAP
 from bcdexact.covariance import (
@@ -16,6 +17,7 @@ from bcdexact.covariance import (
     ConvergenceError,
     FirstVisitTable,
     _first_return_table,
+    _imbalance_laws,
     _round_robin,
     cond_assignment,
     eigen_spectrum,
@@ -29,6 +31,7 @@ from bcdexact.covariance import (
 from bcdexact.design import DesignParams
 from bcdexact.exact import _two_sided_scan, dp_pmf_dn, pmf_dn
 from bcdexact.stable import FLOAT64_STABLE
+from test_exact import scalar_scan
 
 P23 = DesignParams(Fraction(2, 3))
 P35 = DesignParams(Fraction(3, 5))
@@ -220,7 +223,7 @@ def test_row_sources_hold_at_the_float_size_cap(p):
     for m in (FLOAT_SIGMA_N_CAP - 1, FLOAT_SIGMA_N_CAP):
         oracle = dp_pmf_dn(m, params)
         ks = range(m % 2, m + 1, 2)
-        for k, got in zip(ks, (_two_sided_scan(k, p, [m])[0] for k in ks)):
+        for k, got in zip(ks, _two_sided_scan([m] * len(ks), ks, p)):
             want = oracle.two_sided(k)
             if want >= 1e-290:
                 assert abs(got - want) <= 1e-12 * want, (m, k)
@@ -229,6 +232,23 @@ def test_row_sources_hold_at_the_float_size_cap(p):
     top = FLOAT_SIGMA_N_CAP - 1
     for m, u in [(1, 0), (1, 1), (1, 2), (2, 40), (7, 99), (30, top), (128, top), (top, top)]:
         assert table[m, u] == pytest.approx(visits.f_hat(m, u), rel=1e-12, abs=1e-300), (m, u)
+
+
+def test_float_laws_keep_the_k_major_key_order():
+    # _row_weights sums each law in its key order, so the order fixes Sigma's bits
+    laws = _imbalance_laws(20, DesignParams(0.7), FLOAT64_STABLE)
+    for m, law in enumerate(laws):
+        assert list(law) == [j for k in range(m % 2, m + 1, 2) for j in ((k, -k) if k else (0,))]
+
+
+@pytest.mark.parametrize("n", [48, 256])
+@pytest.mark.parametrize("p", [0.7, 0.9])
+def test_float_sigma_equals_sigma_from_the_scalar_scan(n, p, monkeypatch):
+    params = DesignParams(p)
+    fast = sigma(n, params).matrix
+    monkeypatch.setattr(bcdexact.covariance, "_two_sided_scan",
+                        lambda m, k, p: scalar_scan(zip(m, k), p))
+    assert np.array_equal(fast, sigma(n, params).matrix)
 
 
 def test_quadratic_form_and_validation():

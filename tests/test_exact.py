@@ -5,7 +5,10 @@ Expected rationals below were frozen from tests/bruteforce.py (exhaustive
 written, so the two routes share no code.
 """
 
+import functools
+import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -17,6 +20,7 @@ from bcdexact.design import DesignParams
 from bcdexact.exact import (
     SCAN_N_MAX,
     StationaryDist,
+    _scaled_power,
     _two_sided_scan,
     asymptotic_var,
     dp_pmf_dn,
@@ -26,6 +30,7 @@ from bcdexact.exact import (
     steady_state_thresholds,
     var_dn,
 )
+from bcdexact.tables import threshold_grid
 
 P23 = DesignParams(Fraction(2, 3))
 P35 = DesignParams(Fraction(3, 5))
@@ -330,6 +335,76 @@ def test_thresholds_scan_once_for_every_tolerance(monkeypatch):
     assert len(scans) == 1
     assert found == [steady_state_threshold(25, DesignParams(0.7), tol) for tol in tols]
     assert found[0] == 85
+    # the grid scans every k of a p in one call
+    ps = (0.6, 0.7, 0.9)
+    scans.clear()
+    rows = threshold_grid(p_values=ps, tolerances=tols)
+    assert len(scans) == len(ps)
+    for k in (0, 1, 2, 25, 50):
+        for p in ps:
+            want = steady_state_thresholds(k, DesignParams(p), tols)
+            assert [r["n_threshold"] for r in rows if (r["k"], r["p"]) == (k, p)] == want
+
+
+def scalar_scan(pairs, p):
+    """P(|D_n| = k) for each (n, k) of pairs by the scalar ratio loop: the
+    scan as the package ran it before the lane kernel (the oracle).
+
+    Each mass starts at q**(k-1) and ends with p**((n-k)//2), both rescaled
+    by `_scaled_power`, and runs `term *= q * r1 * r2 * r3; total += term`.
+    The factor q * r1 * r2 * r3 of step l depends only on n + k and l, so
+    it is computed once per (n + k, l); the running product and the total
+    fold from the left, as the loop does.
+    """
+    q = 1.0 - p
+    factors = {}
+    out = []
+    for n, k in pairs:
+        a = (n + k) // 2
+        if k > 0:
+            steps = (n - k) // 2
+            term, shift = _scaled_power(q, k - 1)
+        else:
+            steps, term, shift = n // 2 - 1, 1.0, 0
+        if n + k not in factors:
+            factors[n + k] = [
+                q
+                * ((n + k - 2 * l - 2) / (n + k - 2 * l))
+                * ((n + k + 2 * l) / (n + k + 2 * l + 2))
+                * ((a + l + 1) / (l + 1))
+                for l in range(a - 1)
+            ]
+        terms = itertools.accumulate(factors[n + k][:max(steps, 0)], operator.mul, initial=term)
+        total = functools.reduce(operator.add, terms)
+        p_power, p_shift = _scaled_power(p, (n - k) // 2)
+        out.append(math.ldexp(p_power * total, shift + p_shift))
+    return out
+
+
+def lane_scan(pairs, p):
+    """The lane kernel on (n, k) pairs, as a list."""
+    n, k = zip(*pairs)
+    return _two_sided_scan(n, k, p)
+
+
+@pytest.mark.parametrize("p", [0.55, 0.9])
+def test_scan_lanes_equal_the_scalar_loop(p):
+    # two-sided masses: halving them loses bits on subnormal masses
+    pairs = [(m, k) for k in range(1000) for m in range(k, 1000, 2)]
+    assert lane_scan(pairs, p) == scalar_scan(pairs, p)
+
+
+def test_scan_lanes_at_the_edges():
+    # q == 0, one-lane calls, lanes with no ratio step, and p = 1/2
+    for p in (1.0, 0.5, 0.51, 0.999):
+        pairs = [(0, 0), (1, 1), (2, 0), (2, 2), (3, 1), (7, 7), (40, 0), (41, 3)]
+        assert lane_scan(pairs, p) == scalar_scan(pairs, p)
+        for pair in pairs:
+            assert lane_scan([pair], p) == scalar_scan([pair], p)
+    with pytest.raises(ValueError, match="parity"):
+        _two_sided_scan([5], [2], 0.7)
+    with pytest.raises(ValueError, match="parity"):
+        _two_sided_scan([3], [5], 0.7)
 
 
 def unscaled_scan(k, p, n):
@@ -351,11 +426,9 @@ def unscaled_scan(k, p, n):
 def test_scan_keeps_its_bits_where_the_start_is_normal(p):
     compared = 0
     for n in (41, 120, 256, 257):
-        for k in range(n % 2, n + 1, 2):
-            if k and (1.0 - p) ** (k - 1) < sys.float_info.min:
-                continue
-            assert _two_sided_scan(k, p, [n]) == [unscaled_scan(k, p, n)]
-            compared += 1
+        ks = [k for k in range(n % 2, n + 1, 2) if not k or (1.0 - p) ** (k - 1) >= sys.float_info.min]
+        assert lane_scan([(n, k) for k in ks], p) == [unscaled_scan(k, p, n) for k in ks]
+        compared += len(ks)
     assert compared > 100
 
 
@@ -366,20 +439,20 @@ P_LADDER = [round(0.51 + 0.02 * i, 2) for i in range(25)]
 def test_scan_meets_the_recurrence_at_large_n(n):
     # the unscaled start q**(k-1) underflowed here: 1.6e-8 off at n = 500,
     # p = 0.83, and 0 for masses near 1e-250 at n = 1000, p = 0.55 .. 0.7
+    ks = range(n % 2, n + 1, 2)
     for p in P_LADDER:
         law = dp_pmf_dn(n, DesignParams(p))
-        for k in range(n % 2, n + 1, 2):
+        for k, got in zip(ks, lane_scan([(n, k) for k in ks], p)):
             want = law.two_sided(k)
             if want >= 1e-290:
-                got = _two_sided_scan(k, p, [n])[0]
                 assert abs(got - want) <= 1e-12 * want, (n, p, k, got, want)
 
 
 @pytest.mark.parametrize("p", [0.5000001, 0.51, 0.99])
 def test_scan_meets_the_recurrence_at_its_horizon(p):
     law = dp_pmf_dn(SCAN_N_MAX, DesignParams(p))
-    for k in range(0, SCAN_N_MAX + 1, 10):
+    ks = range(0, SCAN_N_MAX + 1, 10)
+    for k, got in zip(ks, lane_scan([(SCAN_N_MAX, k) for k in ks], p)):
         want = law.two_sided(k)
         if want >= 1e-290:
-            got = _two_sided_scan(k, p, [SCAN_N_MAX])[0]
             assert abs(got - want) <= 1e-12 * want, (p, k, got, want)

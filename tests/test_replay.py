@@ -119,11 +119,45 @@ def test_a_custom_overflow_guard_is_honoured_and_checked():
 def test_a_law_split_over_lane_batches_equals_one_batch(monkeypatch):
     params = DesignParams(0.62)
     points = [(n, k) for n in (57, 120) for k in range(n % 2, n + 1, 2)]
+    summands = sum((n - k) // 2 + 1 if k else n // 2 for n, k in points)
+    calls = []
+    replay = bcdexact.exact.replay_term_products
+    monkeypatch.setattr(bcdexact.exact, "replay_term_products",
+                        lambda *args: calls.append(len(args[0])) or replay(*args))
     monkeypatch.setattr(bcdexact.stable, "LANE_BATCH", 1 << 20)
     whole = pmf_masses(points, params)
-    monkeypatch.setattr(bcdexact.stable, "LANE_BATCH", 37)
-    assert pmf_masses(points, params) == whole
+    assert calls == [summands]
+    for batch in (37, 64):
+        calls.clear()
+        monkeypatch.setattr(bcdexact.stable, "LANE_BATCH", batch)
+        assert pmf_masses(points, params) == whole
+        # whole points, at most a batch of summands a call unless one point
+        # has more (60 at most here)
+        assert sum(calls) == summands and max(calls) <= max(batch, 60)
     assert whole[:5] == [per_term_mass(n, k, params) for n, k in points[:5]]
+
+
+@pytest.mark.parametrize("batch", [37, 1 << 20])
+@pytest.mark.parametrize("p", [0.5, 0.7, 0.999])
+def test_lanes_of_every_length_equal_the_kernel(batch, p, monkeypatch):
+    # every summand of D_1 .. D_n, shuffled: multiply counts from 2 to
+    # 2n - 2, so lanes leave a batch's live suffix at every step
+    monkeypatch.setattr(bcdexact.stable, "LANE_BATCH", batch)
+    n_top = 60
+    terms = [(n, k, l) for n in range(1, n_top + 1) for k in range(n % 2, n + 1, 2)
+             for l in range((n - k) // 2 + 1 if k else n // 2)]
+    random.Random(batch).shuffle(terms)
+    n, k, l = zip(*terms)
+    big = [4.0 * m for m in n]
+    got = replay_term_products(n, k, l, p, 1.0 - p, big).tolist()
+    length = [2 * j + max(j - 1, 0) + (m + i) // 2 + 1 for m, i, j in terms]
+    assert (min(length), max(length)) == (2, 2 * n_top - 2)
+    for term, value, guard in zip(terms, got, big):
+        want = kernel(*term, p, guard)
+        if isinstance(want, FactoredProduct):
+            assert value < bcdexact.stable.DEFAULT_UNDERFLOW_GUARD
+        else:
+            assert value == want, (term, p)
 
 
 def test_selection_bias_report_reads_every_balance_from_the_batch():

@@ -1,7 +1,12 @@
 """Reference grids: rendered digits, threading, and the rounding helper."""
 
+from fractions import Fraction
+
 import pytest
 
+import bcdexact.bias
+from bcdexact.bias import selection_bias_report
+from bcdexact.design import DesignParams
 from bcdexact.tables import (
     DEFAULT_P_GRID,
     GUESS_N_GRID,
@@ -108,6 +113,22 @@ def test_selection_bias_grid_renders_the_reference_digits():
     for row in rows:
         want = REFERENCE_AVG_EXCESS[row["n"]][DEFAULT_P_GRID.index(row["p"])]
         assert row["rounded"] == want, row
+
+
+@pytest.mark.parametrize("mode,ps", [("float", (0.6, 0.93)), ("rational", (Fraction(7, 10),))])
+def test_selection_bias_grid_reads_each_n_off_one_batch_per_p(mode, ps, monkeypatch):
+    ns = (5, 12, 1, 40) if mode == "rational" else (*GUESS_N_GRID, 3, 260)
+    batches = []
+    masses = bcdexact.bias.pmf_masses
+    monkeypatch.setattr(bcdexact.bias, "pmf_masses",
+                        lambda *args: batches.append(args[0]) or masses(*args))
+    rows = selection_bias_grid(n_values=ns, p_values=ps, mode=mode)
+    assert [len(points) for points in batches] == [max(ns)] * len(ps)
+    cells = [row for row in rows if row["n"] is not None]
+    assert [(row["n"], row["p"]) for row in cells] == [(n, p) for n in ns for p in ps]
+    for row in cells:
+        report = selection_bias_report(row["n"], DesignParams(row["p"]), mode)
+        assert row["average_excess"] == float(report.average_excess), row
 
 
 def test_threshold_grid_matches_the_reference_integers():
