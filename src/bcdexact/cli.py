@@ -398,7 +398,7 @@ def _cmd_accidental_bias(args) -> CommandOutput:
     else:
         z = two_p_eigenvector(args.n)
     value = accidental_bias(z, cov)
-    inputs = [("n", args.n), ("p", params.p), ("z", ",".join(repr(c) for c in z))]
+    inputs = [("n", args.n), ("p", params.p), ("z", ",".join(repr(float(c)) for c in z))]
     values = [("quadratic_form", float(value))]
     return CommandOutput(
         _record(args, inputs, values), ["label", "value"], [["quadratic_form", float(value)]]
@@ -634,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--batch-size", type=int, default=1 << 16)
     sub.add_argument("--threads", type=int, default=1,
-                     help="batches walked at once; the walk holds the GIL, so threads gain little")
+                     help="batches walked at once, at most one per batch and per CPU")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_simulate)
 

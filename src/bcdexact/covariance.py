@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DesignParams, Number, transition_prob
-from .exact import ImbalancePMF, _term, _two_sided_scan, pmf_dn
+from .exact import _term, _two_sided_scan, pmf_dn
 from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
@@ -98,9 +98,6 @@ class FirstVisitTable:
         self.mode = NumericMode.coerce(mode)
         self._rows: dict[int, list[Number]] = {}
 
-    def f(self, k: int, steps: int) -> Number:
-        return first_visit(k, steps, self.params, self.mode)
-
     def f_hat(self, k: int, horizon: int) -> Number:
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
@@ -110,7 +107,7 @@ class FirstVisitTable:
         row = self._rows.setdefault(k, [self.mode.zero])  # fhat_k(0) = 0
         while len(row) <= horizon:
             u = len(row)
-            row.append(row[-1] + self.f(k, u))
+            row.append(row[-1] + first_visit(k, u, self.params, self.mode))
         return row[horizon]
 
 
@@ -143,26 +140,12 @@ def cond_assignment(
     return (mode.half - t_k) * table.f_hat(k, m - n - 1) + t_k
 
 
-PmfProvider = Callable[[int, int], Number]
-
-
-def _pmf_row_provider(params: DesignParams, mode: NumericMode) -> PmfProvider:
-    cache: dict[int, ImbalancePMF] = {}
-
-    def provider(n: int, k: int) -> Number:
-        if n not in cache:
-            cache[n] = pmf_dn(n, params, mode)
-        return cache[n].mass(k)
-
-    return provider
-
-
 def joint_assignment(
     n: int,
     m: int,
     params: DesignParams,
     mode: NumericMode | str = FLOAT64_STABLE,
-    pmf_provider: PmfProvider | None = None,
+    pmf_provider: Callable[[int, int], Number] | None = None,
     table: FirstVisitTable | None = None,
 ) -> Number:
     """P(T_n = +1, T_m = +1) for 1 <= n < m.
@@ -170,14 +153,16 @@ def joint_assignment(
     Decomposes over the imbalance k just before draw n; each term is the
     chance of sitting at k, times t_k for drawing +1, times the conditional
     chance (cond_assignment) that draw m is +1 given the post-draw
-    imbalance k + 1.
+    imbalance k + 1.  A caller filling many entries may share the law
+    P(D_m = k) as pmf_provider(m, k) and the first-return table.
     """
     mode = NumericMode.coerce(mode)
     params = mode.design(params)
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m, got n={n}, m={m}")
     if pmf_provider is None:
-        pmf_provider = _pmf_row_provider(params, mode)
+        law = pmf_dn(n - 1, params, mode)
+        pmf_provider = lambda _, k: law.mass(k)
     if table is None:
         table = FirstVisitTable(params, mode)
 

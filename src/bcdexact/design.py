@@ -73,9 +73,6 @@ class DesignParams:
     def is_deterministic(self) -> bool:
         return self.p == 1
 
-    def as_float(self) -> "DesignParams":
-        return self if isinstance(self.p, float) else DesignParams(float(self.p))
-
     def as_exact(self) -> "DesignParams":
         """Exact counterpart; refuses floats that are not obviously rational.
 
@@ -89,10 +86,6 @@ class DesignParams:
             "exact arithmetic needs p as a Fraction; "
             f"got float {self.p!r} (build DesignParams(Fraction(...)))"
         )
-
-    @classmethod
-    def from_string(cls, text: str, exact: bool = False) -> "DesignParams":
-        return cls(parse_probability(text, exact=exact))
 
     def __str__(self) -> str:
         return f"BCD(p={self.p})"

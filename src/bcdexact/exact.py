@@ -58,7 +58,6 @@ __all__ = [
     "pmf_masses",
     "steady_state_threshold",
     "steady_state_threshold_table",
-    "steady_state_thresholds",
     "term_factors",
     "var_dn",
 ]
@@ -392,16 +391,6 @@ class StationaryDist:
         """lim P(|D_n| = k) along n of k's parity, i.e. 2 pi_k."""
         return 2 * self.pi(abs(k))
 
-    @property
-    def limit_perfect_balance(self) -> Number:
-        """lim over even n of P(D_n = 0) = (r-1)/r."""
-        return self.two_sided_limit(0)
-
-    @property
-    def limit_imbalance_one(self) -> Number:
-        """lim over odd n of P(|D_n| = 1) = (r^2-1)/r^2."""
-        return self.two_sided_limit(1)
-
 
 def asymptotic_var(params: DesignParams, parity: str) -> Number:
     """Limit of Var(D_n) along even or odd n.
@@ -533,18 +522,7 @@ def steady_state_threshold(
     past it.  Returns None when no such n <= n_max exists.  n_max may not
     exceed SCAN_N_MAX.
     """
-    return steady_state_thresholds(k, params, [tol], n_max)[0]
-
-
-def steady_state_thresholds(
-    k: int,
-    params: DesignParams,
-    tols: Sequence[float],
-    n_max: int = 500,
-) -> list[int | None]:
-    """`steady_state_threshold` for each tolerance, from one scan of the
-    masses P(|D_n| = k), n <= n_max."""
-    return steady_state_threshold_table([k], params, tols, n_max)[0]
+    return steady_state_threshold_table([k], params, [tol], n_max)[0][0]
 
 
 def steady_state_threshold_table(
@@ -553,8 +531,8 @@ def steady_state_threshold_table(
     tols: Sequence[float],
     n_max: int = 500,
 ) -> list[list[int | None]]:
-    """`steady_state_thresholds` for each k of ks, from one scan call over
-    the masses P(|D_n| = k), n <= n_max, of every k."""
+    """`steady_state_threshold` for each k of ks and each tolerance of tols,
+    from one scan call over the masses P(|D_n| = k), n <= n_max, of every k."""
     horizons = [_threshold_horizon(k, tols, n_max) for k in ks]
     if not tols or not ks:
         return [[] for _ in ks]

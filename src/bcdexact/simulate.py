@@ -15,6 +15,7 @@ brute-force oracle the closed-form results are tested against.
 from __future__ import annotations
 
 import math
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -80,10 +81,6 @@ class TreatmentSequence:
     def imbalance_path(self) -> np.ndarray:
         return np.cumsum(self.assignments, dtype=np.int64)
 
-    @property
-    def final_imbalance(self) -> int:
-        return int(self.imbalance_path[-1])
-
 
 def _stream(seed: int, index: int | None = None) -> np.random.Generator:
     key = (index,) if index is not None else ()
@@ -91,20 +88,14 @@ def _stream(seed: int, index: int | None = None) -> np.random.Generator:
 
 
 def generate_sequence(n: int, params: DesignParams, seed: int) -> TreatmentSequence:
-    """Simulate one biased-coin run of length n, deterministic in seed."""
+    """Simulate one biased-coin run of length n, deterministic in seed.
+
+    It is the one run of a Monte Carlo batch walked on the stream (seed).
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    p = float(params.p)
-    q = float(params.q)
-    u = _stream(seed).random(n)
-    out = np.empty(n, dtype=np.int8)
-    d = 0
-    for j in range(n):
-        up = 0.5 if d == 0 else (p if d < 0 else q)
-        t = 1 if u[j] < up else -1
-        out[j] = t
-        d += t
-    return TreatmentSequence(assignments=out, params=params, seed=seed)
+    t, _ = _simulate_batch(n, float(params.p), _stream(seed), 1)
+    return TreatmentSequence(assignments=t[0], params=params, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +342,10 @@ def _batch_sizes(replicates: int, batch_size: int) -> list[int]:
 def _over_batches(n, params, seed, sizes, per_batch, jobs=1) -> list:
     """per_batch(t, d) of each batch of runs, batch b walked on stream (seed, b).
 
-    With jobs > 1 the batches run on that many threads; results keep the
-    batch order either way.  Workers' malloc arenas keep the batch memory
-    they freed, so a threaded run's peak RSS varies from run to run.
+    With jobs > 1 the batches run on up to that many threads, but on no
+    more than there are batches or CPUs; results keep the batch order
+    either way.  Workers' malloc arenas keep the batch memory they freed,
+    so a threaded run's peak RSS varies from run to run.
     """
     p = float(params.p)
 
@@ -361,8 +353,9 @@ def _over_batches(n, params, seed, sizes, per_batch, jobs=1) -> list:
         index, size = index_size
         return per_batch(*_simulate_batch(n, p, _stream(seed, index), size))
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(sizes), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run, enumerate(sizes)))
     return [run(task) for task in enumerate(sizes)]
 

@@ -179,6 +179,18 @@ def test_accidental_bias_defaults_to_the_worst_case_vector(capsys):
     assert float(rows[0][1]) == pytest.approx(1.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("z,want", [
+    (None, [math.sqrt(2) / 2, -math.sqrt(2) / 2, 0.0]),
+    ("0.6,0.8,0", [0.6, 0.8, 0.0]),
+])
+def test_accidental_bias_json_records_z_as_plain_floats(capsys, z, want):
+    argv = ["accidental-bias", "--n", "3", "--p", "0.7", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv, *(["--z", z] if z else []))
+    assert code == 0
+    text = dict(json.loads(out)["inputs"])["z"]
+    assert [float(c) for c in text.split(",")] == want
+
+
 def test_threshold_single_cell(capsys):
     code, out, _ = run_cli(
         capsys, "threshold", "--k", "0", "--p", "0.8", "--tol", "0.01"
@@ -262,6 +274,20 @@ def test_default_grids_match_the_golden_bytes(tmp_path, capsys, name, argv):
     code, out, _ = run_cli(capsys, *argv, "--out", str(target))
     assert code == 0
     assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# Cheap commands of every kind with their expected exit code and stdout.
+# "{files}" in an argv names a directory holding the corpus's input files.
+CORPUS = json.loads((GOLDEN / "cli_corpus.json").read_text())
+
+
+@pytest.mark.parametrize("case", CORPUS["cases"], ids=lambda case: " ".join(case["argv"]))
+def test_cli_corpus_stdout_is_unchanged(tmp_path, capsys, case):
+    for name, text in CORPUS["files"].items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.replace("{files}", str(tmp_path)) for arg in case["argv"]]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (case["exit"], case["stdout"])
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +393,36 @@ def test_simulate_walks_its_batches_on_the_calling_thread_by_default(capsys, mon
     assert code == 0
     monkeypatch.undo()
     assert run_cli(capsys, *argv, "--threads", "2") == (0, out, "")
+
+
+@pytest.mark.parametrize("cpus,reps,workers", [(4, 10_000, [4]), (16, 3_000, [3]), (None, 10_000, [])])
+def test_simulate_caps_its_threads_at_the_batches_and_cpus(capsys, monkeypatch, cpus, reps, workers):
+    # the fake pool records its size and maps on the calling thread, so no
+    # thread is started however large --threads is
+    import bcdexact.simulate
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    argv = ["simulate", "--n", "40", "--p", "0.7", "--statistic", "variance",
+            "--reps", str(reps), "--seed", "5", "--batch-size", "1000"]
+    serial = run_cli(capsys, *argv, "--threads", "1")
+    monkeypatch.setattr(bcdexact.simulate, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(bcdexact.simulate.os, "cpu_count", lambda: cpus)
+    assert run_cli(capsys, *argv, "--threads", "1000000") == serial
+    assert seen == workers
 
 
 # ---------------------------------------------------------------------------

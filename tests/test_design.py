@@ -54,12 +54,6 @@ def test_int_one_becomes_exact():
     assert DesignParams(1).p == Fraction(1)
 
 
-def test_float_round_trip():
-    params = DesignParams(Fraction(2, 3)).as_float()
-    assert not params.is_exact
-    assert params.p == pytest.approx(2 / 3)
-
-
 def test_as_exact_refuses_floats():
     with pytest.raises(ValueError):
         DesignParams(0.7).as_exact()
@@ -76,11 +70,6 @@ def test_parse_probability_decimal_and_fraction_forms():
 def test_parse_probability_rejects_junk():
     with pytest.raises(ValueError):
         parse_probability("seven tenths")
-
-
-def test_from_string():
-    assert DesignParams.from_string("3/4", exact=True).p == Fraction(3, 4)
-    assert DesignParams.from_string("0.9").p == pytest.approx(0.9)
 
 
 def test_transition_prob_by_imbalance_sign():

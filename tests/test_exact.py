@@ -27,7 +27,7 @@ from bcdexact.exact import (
     pmf_at,
     pmf_dn,
     steady_state_threshold,
-    steady_state_thresholds,
+    steady_state_threshold_table,
     var_dn,
 )
 from bcdexact.tables import threshold_grid
@@ -196,8 +196,7 @@ def test_stationary_masses_for_two_thirds():
     assert dist.pi(0) == Fraction(1, 4)
     assert dist.pi(1) == Fraction(3, 8)
     assert dist.two_sided_limit(1) == Fraction(3, 4)
-    assert dist.limit_perfect_balance == Fraction(1, 2)
-    assert dist.limit_imbalance_one == Fraction(3, 4)
+    assert dist.two_sided_limit(0) == Fraction(1, 2)
 
 
 def test_stationary_masses_sum_to_one():
@@ -331,7 +330,7 @@ def test_thresholds_scan_once_for_every_tolerance(monkeypatch):
     scan = bcdexact.exact._two_sided_scan
     monkeypatch.setattr(bcdexact.exact, "_two_sided_scan",
                         lambda *args: scans.append(args) or scan(*args))
-    found = steady_state_thresholds(25, DesignParams(0.7), tols)
+    [found] = steady_state_threshold_table([25], DesignParams(0.7), tols)
     assert len(scans) == 1
     assert found == [steady_state_threshold(25, DesignParams(0.7), tol) for tol in tols]
     assert found[0] == 85
@@ -342,7 +341,7 @@ def test_thresholds_scan_once_for_every_tolerance(monkeypatch):
     assert len(scans) == len(ps)
     for k in (0, 1, 2, 25, 50):
         for p in ps:
-            want = steady_state_thresholds(k, DesignParams(p), tols)
+            [want] = steady_state_threshold_table([k], DesignParams(p), tols)
             assert [r["n_threshold"] for r in rows if (r["k"], r["p"]) == (k, p)] == want
 
 

@@ -4,6 +4,8 @@
 chunked: one (size, n) draw, then every step reads a strided column.  The
 chunked walk must draw the same uniforms and take the same steps, so every
 comparison here is `==`, on the paths and on what is computed from them.
+`stepwise_sequence` is the one-run walk that `generate_sequence` ran on its
+own before it became a batch of one, and checks it the same way.
 """
 
 import os
@@ -21,6 +23,7 @@ from bcdexact.simulate import (
     _chunk_rows,
     _simulate_batch,
     _stream,
+    generate_sequence,
     mc_estimate,
     parse_statistic,
     rank_pvalue_mc,
@@ -43,7 +46,30 @@ def lockstep_batch(n, p, rng, size):
     return t, d_mat
 
 
+def stepwise_sequence(n, p, seed):
+    """One run of n steps, one uniform of the stream (seed) per step."""
+    q = 1.0 - p
+    u = _stream(seed).random(n)
+    out = np.empty(n, dtype=np.int8)
+    d = 0
+    for j in range(n):
+        up = 0.5 if d == 0 else (p if d < 0 else q)
+        t = 1 if u[j] < up else -1
+        out[j] = t
+        d += t
+    return out
+
+
 PS = [0.5, 0.55, 0.713, 0.95, 1.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 32, 300, 2000])
+def test_generate_sequence_equals_the_stepwise_walk(n):
+    for p in [0.5, 0.55, 0.7, 0.713, 0.95, 1.0]:
+        for seed in range(20):
+            got = generate_sequence(n, DesignParams(p), seed).assignments
+            assert got.dtype == np.int8
+            assert np.array_equal(got, stepwise_sequence(n, p, seed)), (n, p, seed)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 40, 80, 127, 128, 300])

@@ -35,7 +35,6 @@ def test_treatment_sequence_validation_and_paths():
     seq = TreatmentSequence(np.array([1, -1, -1, 1]), P23)
     assert len(seq) == 4
     assert list(seq.imbalance_path) == [1, 0, -1, 0]
-    assert seq.final_imbalance == 0
     with pytest.raises(ValueError):
         TreatmentSequence(np.array([1, 0, -1]), P23)
     with pytest.raises(ValueError):
