@@ -33,6 +33,7 @@ from .covariance import (
 from .design import DesignParams, parse_probability
 from .exact import SCAN_N_MAX, StationaryDist, asymptotic_var, pmf_at, pmf_dn, var_dn
 from .simulate import (
+    MC_BATCH_BYTES,
     ScoreVector,
     TreatmentSequence,
     generate_sequence,
@@ -152,6 +153,11 @@ def _record(args, inputs: list, values: list) -> OutputRecord:
     )
 
 
+def _labelled(args, inputs: list, values: list) -> CommandOutput:
+    """The output of a command whose CSV is one label,value row per value."""
+    return CommandOutput(_record(args, inputs, values), ["label", "value"], list(map(list, values)))
+
+
 def _mode_of(args):
     return EXACT_RATIONAL if args.mode == "rational" else FLOAT64_STABLE
 
@@ -209,9 +215,7 @@ def _cmd_pmf(args) -> CommandOutput:
     inputs = [("n", args.n), ("p", params.p)]
     if args.k is not None:
         inputs.append(("k", args.k))
-        value = pmf_at(args.n, args.k, params, mode)
-        record = _record(args, inputs, [("probability", value)])
-        return CommandOutput(record, ["label", "value"], [["probability", value]])
+        return _labelled(args, inputs, [("probability", pmf_at(args.n, args.k, params, mode))])
     dist = pmf_dn(args.n, params, mode)
     rows = [[k, dist.mass(k)] for k in dist.support()]
     values = [(str(k), mass) for k, mass in rows]
@@ -222,17 +226,13 @@ def _cmd_var(args) -> CommandOutput:
     params = _params_of(args)
     mode = _mode_of(args)
     if args.limit is not None:
-        value = asymptotic_var(params, args.limit)
         inputs = [("p", params.p), ("limit", args.limit)]
-        record = _record(args, inputs, [("limit_variance", value)])
-        return CommandOutput(record, ["label", "value"], [["limit_variance", value]])
+        return _labelled(args, inputs, [("limit_variance", asymptotic_var(params, args.limit))])
     if args.n is None:
         raise ValueError("var needs --n or --limit {even,odd}")
     _check_rational_cap(args, args.n)
-    value = var_dn(args.n, params, mode)
     inputs = [("n", args.n), ("p", params.p)]
-    record = _record(args, inputs, [("variance", value)])
-    return CommandOutput(record, ["label", "value"], [["variance", value]])
+    return _labelled(args, inputs, [("variance", var_dn(args.n, params, mode))])
 
 
 def _cmd_stationary(args) -> CommandOutput:
@@ -310,9 +310,9 @@ def _cmd_table3(args) -> CommandOutput:
     )
 
 
-def _conjecture_values(n: int, params: DesignParams, spectrum) -> list[tuple]:
+def _conjecture_values(params: DesignParams, spectrum) -> list[tuple]:
     """The four rows of the largest-eigenvalue-versus-2p diagnostic."""
-    report = max_eigen_report(n, params, spectrum=spectrum)
+    report = max_eigen_report(params, spectrum)
     return [
         ("lambda_max", report.lambda_max),
         ("two_p", report.two_p),
@@ -341,7 +341,7 @@ def _cmd_sigma(args) -> CommandOutput:
                 values.append((f"lambda({idx})", float(lam)))
                 rows.append([f"lambda({idx})", float(lam)] + [None] * (args.n - 2))
         if args.check_conjecture:
-            extra = _conjecture_values(args.n, params, spectrum)
+            extra = _conjecture_values(params, spectrum)
             values.extend(extra)
             rows.extend([label, value] + [None] * (args.n - 2) for label, value in extra)
     inputs = [("n", args.n), ("p", params.p)]
@@ -353,13 +353,13 @@ def _cmd_eigen(args) -> CommandOutput:
     params = _params_of(args)
     cov = sigma(args.n, params, _mode_of(args))
     spectrum = eigen_spectrum(cov)
-    residual = verify_2p_eigenpair(args.n, params, cov=cov)
+    residual = verify_2p_eigenpair(cov)
     rows = [[idx, float(lam)] for idx, lam in enumerate(spectrum, start=1)]
     values = [(f"lambda({idx})", lam) for idx, lam in rows]
     values.append(("two_p_eigenpair_residual", residual))
     rows.append(["two_p_eigenpair_residual", residual])
     if args.check_conjecture:
-        extra = _conjecture_values(args.n, params, spectrum)
+        extra = _conjecture_values(params, spectrum)
         values.extend(extra)
         rows.extend([label, value] for label, value in extra)
     inputs = [("n", args.n), ("p", params.p)]
@@ -385,8 +385,7 @@ def _cmd_selection_bias(args) -> CommandOutput:
         ("excess", report.excess),
         ("average_excess", report.average_excess),
     ]
-    rows = [[label, value] for label, value in values]
-    return CommandOutput(_record(args, inputs, values), ["label", "value"], rows)
+    return _labelled(args, inputs, values)
 
 
 def _cmd_accidental_bias(args) -> CommandOutput:
@@ -399,10 +398,7 @@ def _cmd_accidental_bias(args) -> CommandOutput:
         z = two_p_eigenvector(args.n)
     value = accidental_bias(z, cov)
     inputs = [("n", args.n), ("p", params.p), ("z", ",".join(repr(float(c)) for c in z))]
-    values = [("quadratic_form", float(value))]
-    return CommandOutput(
-        _record(args, inputs, values), ["label", "value"], [["quadratic_form", float(value)]]
-    )
+    return _labelled(args, inputs, [("quadratic_form", float(value))])
 
 
 def _cmd_ranktest(args) -> CommandOutput:
@@ -449,8 +445,7 @@ def _cmd_ranktest(args) -> CommandOutput:
             "a Monte Carlo p-value needs an observed statistic: give "
             "--assignments FILE or --seed to generate one run"
         )
-    rows = [[label, value] for label, value in values]
-    return CommandOutput(_record(args, inputs, values), ["label", "value"], rows)
+    return _labelled(args, inputs, values)
 
 
 def _cmd_simulate(args) -> CommandOutput:
@@ -483,8 +478,7 @@ def _cmd_simulate(args) -> CommandOutput:
         ("abs_z", z),
         ("replicates", estimate.replicates),
     ]
-    rows = [[label, value] for label, value in values]
-    return CommandOutput(_record(args, inputs, values), ["label", "value"], rows)
+    return _labelled(args, inputs, values)
 
 
 # ---------------------------------------------------------------------------
@@ -632,7 +626,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--reps", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--batch-size", type=int, default=1 << 16)
+    sub.add_argument("--batch-size", type=int, default=1 << 16,
+                     help=f"runs per batch; one batch may hold at most {MC_BATCH_BYTES >> 20} MiB")
     sub.add_argument("--threads", type=int, default=1,
                      help="batches walked at once, at most one per batch and per CPU")
     _add_common(sub)

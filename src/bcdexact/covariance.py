@@ -19,7 +19,7 @@ walk (toward balance with probability p, away with q):
 for u >= |k| of matching parity, else 0.  This is exactly the summand
 l = (u-|k|)/2 of the closed form of P(D_{u+|k|} = 0) in `exact`, so
 `first_visit` reads it from `exact._term`.  Its float overflow guard stays
-at 4u, the default for u steps, not the 4(u+|k|) of D_{u+|k|}.
+at 4u for u steps, not the 4(u+|k|) of D_{u+|k|}.
 
 sigma(n) always carries the vector v = (sqrt(2)/2, -sqrt(2)/2, 0, ..., 0)
 as an eigenvector with eigenvalue 2p; `verify_2p_eigenpair` measures the
@@ -81,7 +81,7 @@ def first_visit(
     params = mode.design(params)
     if params.q == 0 and steps > k:
         return mode.zero
-    return mode.sum([_term(steps + k, 0, (steps - k) // 2, params, mode.sized_for(steps))])
+    return mode.sum([_term(steps + k, 0, (steps - k) // 2, params, mode, steps)])
 
 
 class FirstVisitTable:
@@ -332,9 +332,11 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return steps
 
 
+JACOBI_TOL = 1e-10  # off-diagonal Frobenius norm at which the sweeps stop
+
+
 def eigen_spectrum(
     cov: AssignmentCovariance | np.ndarray,
-    tol: float = 1e-10,
     max_rotations: int | None = None,
 ) -> np.ndarray:
     """All eigenvalues, descending, via round-robin Jacobi rotation sweeps.
@@ -342,7 +344,7 @@ def eigen_spectrum(
     Each rotation zeroes one off-diagonal pair through an orthogonal
     similarity, preserving the trace and (by Wielandt-Hoffman) pinning the
     eigenvalue error to the off-diagonal Frobenius norm, which must fall
-    below tol.  A sweep runs the steps of `_round_robin`; the
+    below JACOBI_TOL.  A sweep runs the steps of `_round_robin`; the
     rotations of one step act on disjoint rows and columns, so they
     commute and are applied together as one array update.  Raises
     ConvergenceError if the rotation budget (default 100 n^2) runs out
@@ -360,10 +362,10 @@ def eigen_spectrum(
     if max_rotations is None:
         max_rotations = 100 * n * n
 
-    skip = tol / (2.0 * n)
+    skip = JACOBI_TOL / (2.0 * n)
     schedule = _round_robin(n)
     rotations = 0
-    while _off_norm(a) > tol:
+    while _off_norm(a) > JACOBI_TOL:
         for i, j in schedule:
             apq = a[i, j]
             active = np.abs(apq) > skip
@@ -373,7 +375,7 @@ def eigen_spectrum(
             if rotations + count > max_rotations:
                 raise ConvergenceError(
                     f"no convergence after {rotations} rotations "
-                    f"(off-diagonal norm {_off_norm(a):.3e} > tol {tol:g})"
+                    f"(off-diagonal norm {_off_norm(a):.3e} > tol {JACOBI_TOL:g})"
                 )
             rotations += count
             i, j, apq = i[active], j[active], apq[active]
@@ -401,25 +403,15 @@ def two_p_eigenvector(n: int) -> np.ndarray:
     return v
 
 
-def verify_2p_eigenpair(
-    n: int,
-    params: DesignParams,
-    cov: AssignmentCovariance | None = None,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> float:
+def verify_2p_eigenpair(cov: AssignmentCovariance) -> float:
     """Residual || sigma v - 2p v ||_2 for the contrast of the first two draws.
 
     The first two assignments satisfy sigma_12 = 1 - 2p and every later
     column sees them symmetrically, which is exactly why v is an
     eigenvector with eigenvalue 2p.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if cov is None:
-        cov = sigma(n, params, mode)
-    a = cov.as_array()
-    v = two_p_eigenvector(n)
-    resid = a @ v - 2.0 * float(params.p) * v
+    v = two_p_eigenvector(cov.n)  # refuses n < 2
+    resid = cov.as_array() @ v - 2.0 * float(cov.params.p) * v
     return float(np.linalg.norm(resid))
 
 
@@ -441,27 +433,15 @@ class MaxEigenReport:
         return abs(self.gap) <= 1e-8
 
 
-def max_eigen_report(
-    n: int,
-    params: DesignParams,
-    cov: AssignmentCovariance | None = None,
-    tol: float = 1e-10,
-    spectrum: np.ndarray | None = None,
-) -> MaxEigenReport:
-    """Compare the computed spectral maximum with 2p.
+def max_eigen_report(params: DesignParams, spectrum: np.ndarray) -> MaxEigenReport:
+    """Compare the top of the descending spectrum of Sigma(n) with 2p.
 
     Whether 2p is always the maximum is an open question, so this is a
     report for inspection, never an assertion: callers log the gap instead
-    of failing on it.  A caller that already holds the descending spectrum
-    passes it as `spectrum`, and then neither Sigma nor the spectrum is
-    computed again.
+    of failing on it.
     """
-    if spectrum is None:
-        if cov is None:
-            cov = sigma(n, params)
-        spectrum = eigen_spectrum(cov, tol=tol)
     return MaxEigenReport(
-        n=n,
+        n=len(spectrum),
         p=float(params.p),
         lambda_max=float(spectrum[0]),
         two_p=2.0 * float(params.p),

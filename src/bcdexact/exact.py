@@ -60,6 +60,7 @@ __all__ = [
     "steady_state_threshold_table",
     "term_factors",
     "var_dn",
+    "var_dns",
 ]
 
 
@@ -101,14 +102,14 @@ def term_factors(
     return small, large
 
 
-def _term(n: int, k: int, l: int, params: DesignParams, sized_mode: NumericMode) -> Number:
-    """The l-th summand of P(D_n = k), k >= 0, in the arithmetic of sized_mode.
+def _term(n: int, k: int, l: int, params: DesignParams, mode: NumericMode, steps: int) -> Number:
+    """The l-th summand of P(D_n = k), k >= 0, in the arithmetic of mode.
 
     Exact over Fractions in rational mode; in float mode the guarded product
-    of `term_factors`, a FactoredProduct when it banks, for `NumericMode.sum`.
+    of `term_factors` in the window M = 4 steps (a FactoredProduct if it banks).
     """
-    if not sized_mode.is_exact:
-        return stable_term_product(*term_factors(n, k, l, params), sized_mode)
+    if not mode.is_exact:
+        return stable_term_product(*term_factors(n, k, l, params), 4.0 * steps)
     p, q = params.p, params.q
     if k > 0:
         return (
@@ -163,11 +164,11 @@ def pmf_masses(
     summands of whole points, at most LANE_BATCH of them at a time
     (`_replayed_masses`), so its working set stays bounded however many
     points it asks for.  Every float mass is the same float the kernel
-    gives summand by summand.
+    gives summand by summand in the window M = 4n.
     """
     mode = NumericMode.coerce(mode)
     masses: list = []
-    wanted = []  # (index, n, k, last summand l, overflow guard)
+    wanted = []  # (index, n, k, last summand l)
     for n, k in points:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
@@ -178,14 +179,14 @@ def pmf_masses(
             masses.append(mode.one)
         else:
             upper = (n - k) // 2 if k > 0 else n // 2 - 1
-            wanted.append((len(masses), n, k, upper, mode.sized_for(n)))
+            wanted.append((len(masses), n, k, upper))
             masses.append(None)
     params = mode.design(params)
     if not wanted:
         return masses
 
     q = params.q
-    index, n, k, upper, sized = zip(*wanted)
+    index, n, k, upper = zip(*wanted)
     # lanes l = 0 .. upper of each point; at q == 0 only the summand free
     # of q is nonzero, and only for k <= 1
     counts = [u + 1 if q else int(kj <= 1) for kj, u in zip(k, upper)]
@@ -194,8 +195,8 @@ def pmf_masses(
             masses[i] = _exact_mass(nj, kj, count, params)
         return masses
     if sum(counts) < SCALAR_LANES:
-        for i, nj, kj, count, mode_j in zip(index, n, k, counts, sized):
-            masses[i] = mode.sum(_term(nj, kj, l, params, mode_j) for l in range(count))
+        for i, nj, kj, count in zip(index, n, k, counts):
+            masses[i] = mode.sum(_term(nj, kj, l, params, mode, nj) for l in range(count))
         return masses
     # whole points, in the fewest chunks of at most LANE_BATCH summands,
     # each filled up to about an equal share of the call's summands
@@ -209,14 +210,14 @@ def pmf_masses(
             lanes += counts[stop]
             stop += 1
         chunk = slice(start, stop)
-        found = _replayed_masses(n[chunk], k[chunk], counts[chunk], sized[chunk], params, mode)
+        found = _replayed_masses(n[chunk], k[chunk], counts[chunk], params, mode)
         for i, mass in zip(index[chunk], found):
             masses[i] = mass
         start = stop
     return masses
 
 
-def _replayed_masses(n, k, counts, sized, params: DesignParams, mode: NumericMode) -> list[float]:
+def _replayed_masses(n, k, counts, params: DesignParams, mode: NumericMode) -> list[float]:
     """P(D_n[j] = k[j]) from one replay of summands l < counts[j] of each point.
 
     The few summands that bank under the underflow guard are re-run
@@ -231,15 +232,15 @@ def _replayed_masses(n, k, counts, sized, params: DesignParams, mode: NumericMod
         np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts),  # l
         float(params.p),
         float(params.q),
-        np.repeat([m.overflow_guard for m in sized], counts),
+        np.repeat([4.0 * m for m in n], counts),
     )
-    banked = np.flatnonzero(values < mode.underflow_guard).tolist()
+    banked = np.flatnonzero(values < stable.UNDERFLOW_GUARD).tolist()
     if not banked:
         return [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
     terms = values.tolist()
     for lane in banked:
         j = bisect.bisect_right(bounds, lane) - 1
-        terms[lane] = _term(n[j], k[j], lane - bounds[j], params, sized[j])
+        terms[lane] = _term(n[j], k[j], lane - bounds[j], params, mode, n[j])
     return [mode.sum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
@@ -344,12 +345,23 @@ def var_dn(
     mode: NumericMode | str = FLOAT64_STABLE,
 ) -> Number:
     """Var(D_n) = E[D_n^2] = sum over k >= 1 of k^2 P(|D_n| = k)."""
+    return var_dns([n], params, mode)[0]
+
+
+def var_dns(
+    ns: Sequence[int],
+    params: DesignParams,
+    mode: NumericMode | str = FLOAT64_STABLE,
+) -> list[Number]:
+    """`var_dn` for each n of ns, read off one `pmf_masses` call over the
+    points of every n.  A mass does not depend on the call it is computed
+    in, so each variance equals its own."""
     mode = NumericMode.coerce(mode)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    ks = range(1 if n % 2 else 2, n + 1, 2)
-    masses = pmf_masses([(n, k) for k in ks], params, mode)
-    return mode.sum(k * k * 2 * v for k, v in zip(ks, masses))
+    if any(n < 0 for n in ns):
+        raise ValueError(f"n must be >= 0, got {min(ns)}")
+    ks = [range(1 if n % 2 else 2, n + 1, 2) for n in ns]
+    masses = iter(pmf_masses([(n, k) for n, row in zip(ns, ks) for k in row], params, mode))
+    return [mode.sum(k * k * 2 * next(masses) for k in row) for row in ks]
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,8 @@ DEFAULT_BATCH_SIZE = 1 << 16
 # enough runs to amortize their fixed cost when n is large.
 MC_CHUNK_BYTES = 1 << 22
 MC_CHUNK_MIN_ROWS = 1024
+# The most memory one batch may hold: its t and d and a chunk of uniforms.
+MC_BATCH_BYTES = 1 << 29
 
 
 @dataclass(frozen=True)
@@ -285,6 +287,11 @@ def _chunk_rows(n: int) -> int:
     return max(MC_CHUNK_BYTES // (8 * n), MC_CHUNK_MIN_ROWS)
 
 
+def _imbalance_dtype(n: int) -> np.dtype:
+    """The narrowest integer type of `_simulate_batch`'s d that holds +-n."""
+    return np.dtype(np.int16 if n < 32768 else np.int64)
+
+
 def _simulate_batch(
     n: int, p: float, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +309,7 @@ def _simulate_batch(
     """
     q = 1.0 - p
     t = np.empty((size, n), dtype=np.int8)
-    d = np.empty((n, size), dtype=np.int16 if n < 32768 else np.int64)
+    d = np.empty((n, size), dtype=_imbalance_dtype(n))
     rows = _chunk_rows(n)
     for lo in range(0, size, rows):
         hi = min(lo + rows, size)
@@ -345,8 +352,14 @@ def _over_batches(n, params, seed, sizes, per_batch, jobs=1) -> list:
     With jobs > 1 the batches run on up to that many threads, but on no
     more than there are batches or CPUs; results keep the batch order
     either way.  Workers' malloc arenas keep the batch memory they freed,
-    so a threaded run's peak RSS varies from run to run.
+    so a threaded run's peak RSS varies from run to run.  A batch that
+    would hold more than MC_BATCH_BYTES is refused before any is walked.
     """
+    size = max(sizes, default=0)
+    need = size * n * (1 + _imbalance_dtype(n).itemsize) + 8 * min(size, _chunk_rows(n)) * n
+    if need > MC_BATCH_BYTES:
+        raise ValueError(f"a batch of {size} runs of n = {n} needs {need} bytes, over "
+                         f"the {MC_BATCH_BYTES} a batch may hold; use a smaller --batch-size")
     p = float(params.p)
 
     def run(index_size):
@@ -472,7 +485,7 @@ def rank_statistic_variance(scores, cov: AssignmentCovariance) -> float:
     a = _scores_array(scores)
     if a.size != cov.n:
         raise ValueError(f"scores length {a.size} does not match n = {cov.n}")
-    return float(a @ cov.as_array() @ a)
+    return cov.quadratic_form(a)
 
 
 def rank_pvalue_mc(

@@ -10,8 +10,8 @@ are <= 1 (the probabilities, the reciprocals from 1/l!, the leading ratio)
 and a bag of factors that are > 1 (the binomial numerators a+1 .. a+l) lets
 us interleave the two so the running product stays inside a fixed window:
 
-    1. fix an overflow guard M (anything above twice the sample size works)
-    2. fix an underflow guard m near the smallest positive double
+    1. take an overflow guard M above twice the sample size (the laws use 4n)
+    2. fix the underflow guard m = UNDERFLOW_GUARD near the smallest double
     3. multiply large factors until the running product exceeds M
     4. multiply small factors until it drops below M
     5. repeat 3-4 until the large factors run out
@@ -32,7 +32,7 @@ per-term reference and its fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -41,7 +41,7 @@ import numpy as np
 if TYPE_CHECKING:
     from .design import DesignParams
 
-DEFAULT_UNDERFLOW_GUARD = 1e-300
+UNDERFLOW_GUARD = 1e-300
 LANE_BATCH = 4096  # lanes replayed together; bounds the replay's working set to about 1 MB
 
 FLOAT_KIND = "float64-stable"
@@ -52,23 +52,15 @@ RATIONAL_KIND = "exact-rational"
 class NumericMode:
     """Evaluation backend: guarded float64 or exact rational arithmetic.
 
-    overflow_guard is the window top M; None means "derive 4n from the
-    problem size at the call site".  underflow_guard (m) only matters for
-    the float backend.  The mode also carries the arithmetic of its kind
-    (constants, casts, summation), so evaluators write one body for both.
+    The mode carries the arithmetic of its kind (constants, casts,
+    summation), so evaluators write one body for both.
     """
 
     kind: str = FLOAT_KIND
-    overflow_guard: float | None = None
-    underflow_guard: float = DEFAULT_UNDERFLOW_GUARD
 
     def __post_init__(self):
         if self.kind not in (FLOAT_KIND, RATIONAL_KIND):
             raise ValueError(f"unknown numeric mode {self.kind!r}")
-        if self.overflow_guard is not None and self.overflow_guard <= 0:
-            raise ValueError("overflow guard must be positive")
-        if not 0 < self.underflow_guard < 1:
-            raise ValueError("underflow guard must be in (0, 1)")
 
     @property
     def is_exact(self) -> bool:
@@ -99,19 +91,6 @@ class NumericMode:
         """The params to compute with: exact ones in rational mode, which
         refuses a float p, and the caller's own in float mode."""
         return params.as_exact() if self.is_exact else params
-
-    def sized_for(self, n: int) -> "NumericMode":
-        """Concrete mode for a size-n computation, defaulting M to 4n."""
-        if self.is_exact:
-            return self
-        guard = self.overflow_guard
-        if guard is None:
-            guard = 4.0 * max(n, 1)
-        elif guard <= 2 * n:
-            raise ValueError(
-                f"overflow guard {guard} is too small for n={n}; need > {2 * n}"
-            )
-        return replace(self, overflow_guard=float(guard))
 
     @classmethod
     def coerce(cls, mode) -> "NumericMode":
@@ -162,30 +141,20 @@ class FactoredProduct:
 def stable_term_product(
     factors_small: Sequence[float],
     factors_large: Sequence[float],
-    mode: NumericMode = FLOAT64_STABLE,
+    big: float,
 ) -> float | FactoredProduct:
-    """Product of all factors via the guarded interleaving above.
+    """Product of all factors via the guarded interleaving above, M = big.
 
     factors_small must lie in (0, 1], factors_large must be >= 1.  Empty
     input is the empty product, 1.0.  Returns a FactoredProduct when the
-    tail of small factors pushes the running product under the underflow
-    guard.
+    tail of small factors pushes the running product under UNDERFLOW_GUARD.
     """
-    mode = NumericMode.coerce(mode)
-    if mode.is_exact:
-        raise ValueError("stable_term_product is the float64 backend; "
-                         "rational mode evaluates terms exactly instead")
     for f in factors_small:
         if not 0 < f <= 1:
             raise ValueError(f"small factor out of (0, 1]: {f!r}")
     for f in factors_large:
         if f < 1:
             raise ValueError(f"large factor below 1: {f!r}")
-
-    big = mode.overflow_guard
-    if big is None:
-        big = 4.0 * max(len(factors_small) + len(factors_large), 4)
-    tiny = mode.underflow_guard
 
     small = sorted(factors_small, reverse=True)
     large = list(factors_large)
@@ -209,7 +178,7 @@ def stable_term_product(
         # bank BEFORE a multiply that would leave the guarded range: one
         # more small factor may underflow the running product all the way
         # to zero, not just below the guard
-        if prod * small[si] < tiny:
+        if prod * small[si] < UNDERFLOW_GUARD:
             banked.append(prod)
             prod = 1.0
         prod *= small[si]

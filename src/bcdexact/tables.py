@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .bias import asymptotic_excess, selection_bias_reports
 from .design import DesignParams
-from .exact import asymptotic_var, steady_state_threshold_table, var_dn
+from .exact import asymptotic_var, steady_state_threshold_table, var_dns
 from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
@@ -82,15 +82,17 @@ def variance_grid(
     """Var(D_n) on an even and an odd ladder of n, plus the n->inf row.
 
     The limit rows have n = None; `rounded` is the half-even fixed-point
-    rendering used for display.
+    rendering used for display.  Each p reads both ladders off one batch.
     """
-    mode = NumericMode.coerce(mode)
-    rows = []
-    for parity, ns in (("even", even_n), ("odd", odd_n)):
+    ladders = (("even", even_n, 0), ("odd", odd_n, len(even_n)))  # offsets in the var_dns list
+    for parity, ns, _ in ladders:
         for n in ns:
             if n % 2 != (0 if parity == "even" else 1):
                 raise ValueError(f"{n} is not {parity}")
-        cells = [(n, p, var_dn(n, DesignParams(p), mode)) for n in ns for p in p_values]
+    found = [var_dns([*even_n, *odd_n], DesignParams(p), mode) for p in p_values]
+    rows = []
+    for parity, ns, start in ladders:
+        cells = [(n, p, vs[start + i]) for i, n in enumerate(ns) for p, vs in zip(p_values, found)]
         cells += [(None, p, asymptotic_var(DesignParams(p), parity)) for p in p_values]
         rows += [
             {

@@ -214,7 +214,7 @@ def test_criterion_04_known_eigenpair_across_horizons():
         cov = sigma(50, params)
         for n in range(2, 51):
             view = cov.principal(n)
-            residual = verify_2p_eigenpair(n, params, cov=view)
+            residual = verify_2p_eigenpair(view)
             if residual > 1e-10:
                 violations.append(f"residual {residual} at (n={n}, p={p})")
             gap = float(np.min(np.abs(eigen_spectrum(view) - 2.0 * p)))

@@ -520,11 +520,11 @@ def test_check_conjecture_solves_the_spectrum_once(capsys, monkeypatch):
     n, params = 12, DesignParams(0.7)
     cov = sigma(n, params)
     spectrum = eigen_spectrum(cov)
-    report = max_eigen_report(n, params, cov)  # solves the spectrum a second time
+    report = max_eigen_report(params, spectrum)
     want = "index,eigenvalue\n" + "".join(
         f"{idx},{lam!r}\n" for idx, lam in enumerate(spectrum.tolist(), start=1)
     )
-    want += f"two_p_eigenpair_residual,{verify_2p_eigenpair(n, params, cov=cov)!r}\n"
+    want += f"two_p_eigenpair_residual,{verify_2p_eigenpair(cov)!r}\n"
     want += f"lambda_max,{report.lambda_max!r}\ntwo_p,{report.two_p!r}\n"
     want += f"gap,{report.gap!r}\nagrees_within_1e-8,{report.agrees}\n"
 

@@ -317,7 +317,7 @@ def test_eigen_raises_when_rotation_budget_is_exhausted():
 
 def test_known_eigenvector_of_the_covariance():
     for n, p in [(2, 0.6), (11, 0.75), (40, 0.9)]:
-        residual = verify_2p_eigenpair(n, DesignParams(p))
+        residual = verify_2p_eigenpair(sigma(n, DesignParams(p)))
         assert residual <= 1e-12
     v = two_p_eigenvector(5)
     assert v[0] == pytest.approx(np.sqrt(2) / 2)
@@ -327,8 +327,8 @@ def test_known_eigenvector_of_the_covariance():
 
 
 def test_largest_eigenvalue_report_is_a_report_not_an_assertion():
-    cov = sigma(8, DesignParams(0.7))
-    report = max_eigen_report(8, DesignParams(0.7), cov)
+    report = max_eigen_report(DesignParams(0.7), eigen_spectrum(sigma(8, DesignParams(0.7))))
+    assert report.n == 8
     assert report.two_p == pytest.approx(1.4)
     assert abs(report.gap) <= 1e-8
     assert report.agrees

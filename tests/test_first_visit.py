@@ -17,12 +17,7 @@ import bruteforce as bf
 from bcdexact.cli import main
 from bcdexact.covariance import FirstVisitTable, first_visit, joint_assignment
 from bcdexact.design import DesignParams
-from bcdexact.stable import (
-    FLOAT64_STABLE,
-    FactoredProduct,
-    stable_term_product,
-    sum_term_values,
-)
+from bcdexact.stable import FactoredProduct, stable_term_product, sum_term_values
 
 
 def factor_bag_first_visit(k, steps, p):
@@ -39,7 +34,7 @@ def factor_bag_first_visit(k, steps, p):
     small = [k / steps] + [p] * toward + [q] * away
     small += [1.0 / s for s in range(2, away + 1)]
     large = [float(toward + s) for s in range(1, away + 1)]
-    return stable_term_product(small, large, FLOAT64_STABLE.sized_for(steps))
+    return stable_term_product(small, large, 4.0 * steps)
 
 
 _rng = random.Random(7)

@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 import bcdexact.simulate
+from bcdexact.cli import main
 from bcdexact.design import DesignParams
 from bcdexact.simulate import (
     PathStatistic,
     _chunk_rows,
+    _over_batches,
     _simulate_batch,
     _stream,
     generate_sequence,
@@ -174,3 +176,37 @@ def test_simulate_at_n_1000_stays_within_its_time_and_memory_bound():
     assert out[:2] == ["label,value", "estimate,0.5726"]
     assert int(maxrss_kb) < 600 * 1024, maxrss_kb
     assert float(wall) < 5.0, wall
+
+
+def refuse_to_walk(*args):
+    raise AssertionError("a batch over the memory bound was walked")
+
+
+def test_a_batch_over_the_memory_bound_exits_2_before_it_is_walked(capsys, monkeypatch):
+    # t, d (int64 here) and a chunk of uniforms would take 3.4 GB
+    monkeypatch.setattr(bcdexact.simulate, "_simulate_batch", refuse_to_walk)
+    code = main(["simulate", "--n", "100000000", "--p", "0.7", "--statistic", "balance",
+                 "--reps", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "needs 3400000000 bytes" in err and "--batch-size" in err
+
+
+# (n, runs in the batch, fits): the default batch up to n = 2621; around the
+# int16 to int64 switch of d at n = 32768, below one chunk of uniforms
+@pytest.mark.parametrize("n,size,fits", [
+    (1000, 65536, True), (2621, 65536, True), (2622, 65536, False),
+    (32767, 2730, True), (32767, 2731, False), (32768, 963, True), (32768, 964, False),
+])
+def test_the_batch_bound_counts_t_d_and_a_chunk_of_uniforms(monkeypatch, n, size, fits):
+    walked = []
+    monkeypatch.setattr(bcdexact.simulate, "_simulate_batch",
+                        lambda n, p, rng, size: walked.append(size) or (None, None))
+    sizes = [size, 3]  # the largest batch sets the bound
+    if fits:
+        assert _over_batches(n, DesignParams(0.7), 0, sizes, lambda t, d: 0) == [0, 0]
+        assert walked == sizes
+    else:
+        with pytest.raises(ValueError, match="use a smaller --batch-size"):
+            _over_batches(n, DesignParams(0.7), 0, sizes, lambda t, d: 0)
+        assert walked == []

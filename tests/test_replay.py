@@ -15,40 +15,38 @@ import bcdexact.exact
 import bcdexact.stable
 from bcdexact.bias import selection_bias_report
 from bcdexact.design import DesignParams
-from bcdexact.exact import pmf_at, pmf_dn, pmf_masses, term_factors, var_dn
+from bcdexact.exact import pmf_at, pmf_masses, term_factors
 from bcdexact.stable import (
-    FLOAT64_STABLE,
+    UNDERFLOW_GUARD,
     FactoredProduct,
-    NumericMode,
     replay_term_products,
     stable_term_product,
     sum_term_values,
 )
 
 
-def per_term_mass(n, k, params, mode=FLOAT64_STABLE):
+def per_term_mass(n, k, params):
     """P(D_n = k) summand by summand through the scalar kernel (the oracle)."""
     k = abs(k)
     if k > n or (n - k) % 2:
         return 0.0
     if n == 0:
         return 1.0
-    sized = mode.sized_for(n)
     q = float(params.q)
     values = []
     for l in range((n - k) // 2 + 1 if k > 0 else n // 2):
         if q == 0.0 and (k + l - 1 if k > 0 else l) > 0:
             continue
         small, large = term_factors(n, k, l, params)
-        values.append(stable_term_product(small, large, sized))
+        values.append(stable_term_product(small, large, 4.0 * n))
     return sum_term_values(values)
 
 
-def assert_law_matches(n, params, mode=FLOAT64_STABLE, ks=None):
+def assert_law_matches(n, params, ks=None):
     ks = list(range(n % 2, n + 1, 2)) if ks is None else ks
-    got = pmf_masses([(n, k) for k in ks], params, mode)
+    got = pmf_masses([(n, k) for k in ks], params)
     for k, value in zip(ks, got):
-        want = per_term_mass(n, k, params, mode)
+        want = per_term_mass(n, k, params)
         assert value == want and type(value) is float, (n, k, float(params.p), value, want)
 
 
@@ -69,13 +67,12 @@ def test_replay_equals_the_per_term_kernel_at_n_300(p):
     assert_law_matches(300, DesignParams(p), ks=list(range(0, 301, 6)))
 
 
-def banked_lanes(n, params, mode):
+def banked_lanes(n, params):
     """How many summands of the law of D_n bank under the underflow guard."""
-    sized = mode.sized_for(n)
     count = 0
     for k in range(n % 2, n + 1, 2):
         for l in range((n - k) // 2 + 1 if k > 0 else n // 2):
-            if isinstance(stable_term_product(*term_factors(n, k, l, params), sized),
+            if isinstance(stable_term_product(*term_factors(n, k, l, params), 4.0 * n),
                           FactoredProduct):
                 count += 1
     return count
@@ -83,37 +80,8 @@ def banked_lanes(n, params, mode):
 
 def test_banked_lanes_keep_their_factored_products():
     params = DesignParams(0.999)
-    assert banked_lanes(300, params, FLOAT64_STABLE) > 100
+    assert banked_lanes(300, params) > 100
     assert_law_matches(300, params, ks=list(range(150, 301, 2)))
-
-
-def test_a_custom_underflow_guard_is_honoured():
-    # near p = 1/2 no summand of n = 300 falls under 1e-300, but many fall
-    # under 1e-60, and banking there changes the rounding of the sum
-    mode = NumericMode(underflow_guard=1e-60)
-    params = DesignParams(0.501)
-    assert banked_lanes(300, params, FLOAT64_STABLE) == 0
-    assert banked_lanes(300, params, mode) > 500
-    ks = list(range(0, 301, 4))
-    assert_law_matches(300, params, mode, ks=ks)
-    assert pmf_masses([(300, k) for k in ks], params, mode) != pmf_masses(
-        [(300, k) for k in ks], params
-    )
-
-
-def test_a_custom_overflow_guard_is_honoured_and_checked():
-    params = DesignParams(0.7)
-    for guard in (81.0, 1e6):  # just above 2n, and far above it
-        assert_law_matches(40, params, NumericMode(overflow_guard=guard))
-    small = NumericMode(overflow_guard=80.0)
-    with pytest.raises(ValueError, match=r"overflow guard 80.0 is too small for n=40; need > 80"):
-        pmf_dn(40, params, small)
-    with pytest.raises(ValueError, match="too small for n=40"):
-        var_dn(40, params, small)
-    with pytest.raises(ValueError, match="too small for n=40"):
-        selection_bias_report(60, params, small)  # first at P(D_40 = 0)
-    assert pmf_at(41, 0, params, small) == 0.0  # off the support: no summand
-    assert pmf_at(0, 0, params, small) == 1.0
 
 
 def test_a_law_split_over_lane_batches_equals_one_batch(monkeypatch):
@@ -155,7 +123,7 @@ def test_lanes_of_every_length_equal_the_kernel(batch, p, monkeypatch):
     for term, value, guard in zip(terms, got, big):
         want = kernel(*term, p, guard)
         if isinstance(want, FactoredProduct):
-            assert value < bcdexact.stable.DEFAULT_UNDERFLOW_GUARD
+            assert value < UNDERFLOW_GUARD
         else:
             assert value == want, (term, p)
 
@@ -170,7 +138,7 @@ def test_selection_bias_report_reads_every_balance_from_the_batch():
 
 def kernel(n, k, l, p, big):
     small, large = term_factors(n, k, l, DesignParams(p))
-    return stable_term_product(small, large, NumericMode(overflow_guard=big))
+    return stable_term_product(small, large, big)
 
 
 @pytest.mark.parametrize("n,k,l,p,big", [
@@ -203,26 +171,25 @@ def test_replay_equals_the_kernel_on_random_summands():
         for term, value in zip(terms, replay_term_products(n, k, l, p, 1.0 - p, big).tolist()):
             want = kernel(*term[:3], p, term[3])
             if isinstance(want, FactoredProduct):
-                assert value < bcdexact.stable.DEFAULT_UNDERFLOW_GUARD
+                assert value < UNDERFLOW_GUARD
             else:
                 assert value == want, (term, p)
 
 
 def test_small_calls_take_the_scalar_kernel_with_the_replay_bits(monkeypatch):
     points = [(n, k) for n in (1, 2, 3, 8, 40, 41, 80, 150) for k in (0, 1, 2, 5, n)]
-    modes = [FLOAT64_STABLE, NumericMode(underflow_guard=1e-60)]
-    cases = [(DesignParams(p), mode) for p in (0.5, 0.501, 0.7, 0.999, 1.0) for mode in modes]
+    cases = [DesignParams(p) for p in (0.5, 0.501, 0.7, 0.999, 1.0)]
     calls = []
     monkeypatch.setattr(bcdexact.exact, "replay_term_products",
                         lambda *args: calls.append(1) or replay_term_products(*args))
-    scalar = [[pmf_at(n, k, params, mode) for n, k in points] for params, mode in cases]
+    scalar = [[pmf_at(n, k, params) for n, k in points] for params in cases]
     assert calls == []
-    # some of these summands bank: P(D_150 = 0) at p = 0.999 under 1e-60
-    sized = modes[1].sized_for(150)
-    assert any(isinstance(stable_term_product(*term_factors(150, 0, l, DesignParams(0.999)),
-                                              sized), FactoredProduct) for l in range(75))
+    # one of these summands banks: the only one of P(D_150 = 150) at
+    # p = 0.999, about q^149 = 1e-447
+    assert isinstance(stable_term_product(*term_factors(150, 150, 0, DesignParams(0.999)),
+                                          600.0), FactoredProduct)
     monkeypatch.setattr(bcdexact.exact, "SCALAR_LANES", 0)
-    replayed = [[pmf_at(n, k, params, mode) for n, k in points] for params, mode in cases]
+    replayed = [[pmf_at(n, k, params) for n, k in points] for params in cases]
     assert calls
     assert replayed == scalar
 

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 import bcdexact.bias
+import bcdexact.exact
 from bcdexact.bias import selection_bias_report
 from bcdexact.design import DesignParams
+from bcdexact.exact import pmf_masses, var_dns
+from bcdexact.stable import NumericMode
 from bcdexact.tables import (
     DEFAULT_P_GRID,
     GUESS_N_GRID,
@@ -105,6 +108,36 @@ def test_variance_grid_row_order_is_stable():
         ("odd", None, 0.6),
         ("odd", None, 0.9),
     ]
+
+
+def one_law_variance(n, params, mode):
+    """Var(D_n) from a pmf_masses call over the law of D_n alone (the oracle)."""
+    mode = NumericMode.coerce(mode)
+    ks = range(1 if n % 2 else 2, n + 1, 2)
+    masses = pmf_masses([(n, k) for k in ks], params, mode)
+    return mode.sum(k * k * 2 * v for k, v in zip(ks, masses))
+
+
+@pytest.mark.parametrize("mode,ps", [("float", (0.55, 0.6, 0.95, 0.999)),
+                                     ("rational", (Fraction(7, 10),))])
+def test_variance_grid_reads_both_ladders_off_one_batch_per_p(mode, ps, monkeypatch):
+    even, odd = ((4, 10, 0), (1, 7)) if mode == "rational" else (VARIANCE_EVEN_N, VARIANCE_ODD_N)
+    batches = []
+    masses = bcdexact.exact.pmf_masses
+    monkeypatch.setattr(bcdexact.exact, "pmf_masses",
+                        lambda *args: batches.append(args[0]) or masses(*args))
+    rows = variance_grid(even_n=even, odd_n=odd, p_values=ps, mode=mode)
+    assert len(batches) == len(ps)
+    assert sorted({n for n, _ in batches[0]}) == sorted(n for n in (*even, *odd) if n > 0)
+    cells = [row for row in rows if row["n"] is not None]
+    assert len(cells) == len(ps) * (len(even) + len(odd))
+    for row in cells:
+        want = one_law_variance(row["n"], DesignParams(row["p"]), mode)
+        assert row["variance"] == float(want), row
+    found = var_dns([*even, *odd], DesignParams(ps[0]), mode)
+    assert found == [one_law_variance(n, DesignParams(ps[0]), mode) for n in (*even, *odd)]
+    with pytest.raises(ValueError, match="n must be >= 0, got -2"):
+        var_dns([4, -2], DesignParams(ps[0]), mode)
 
 
 def test_selection_bias_grid_renders_the_reference_digits():
