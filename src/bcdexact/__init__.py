@@ -8,9 +8,9 @@ expected advantage of a guessing experimenter, and the covariate
 quadratic form behind accidental bias; a Monte Carlo and an exhaustive
 enumeration layer cross-check every closed form.
 
-Two numeric modes run side by side: a float64 kernel that keeps huge
-binomial-coefficient products inside the representable range, and exact
-rational arithmetic for small n.
+The arithmetic follows p: a float p computes with a float64 kernel that
+keeps huge binomial-coefficient products inside the representable range,
+and a Fraction (or int) p computes in exact rational arithmetic.
 """
 
 from .bias import (

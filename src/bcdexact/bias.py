@@ -26,9 +26,7 @@ specific unit covariate vector z it is the quadratic form z' Sigma z.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -36,7 +34,7 @@ import numpy as np
 from .covariance import AssignmentCovariance
 from .design import DesignParams, Number
 from .exact import pmf_at, pmf_masses
-from .stable import FLOAT64_STABLE, NumericMode
+from .stable import NumericMode
 
 __all__ = [
     "SelectionBiasReport",
@@ -49,22 +47,16 @@ __all__ = [
 ]
 
 
-def selection_bias_step(
-    j: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> Number:
+def selection_bias_step(j: int, params: DesignParams) -> Number:
     """P(the lagging-arm guess is correct at draw j)."""
-    mode = NumericMode.coerce(mode)
     if j < 1:
         raise ValueError(f"draw index must be >= 1, got {j}")
-    params = mode.design(params)
-    return _guess_rate(pmf_at(j - 1, 0, params, mode), params, mode)
+    return _guess_rate(pmf_at(j - 1, 0, params), params)
 
 
-def _guess_rate(balanced: Number, params: DesignParams, mode: NumericMode) -> Number:
+def _guess_rate(balanced: Number, params: DesignParams) -> Number:
     """b_j from P(D_{j-1} = 0): a fair toss when balanced, else p."""
-    return mode.half * balanced + mode.cast(params.p) * (1 - balanced)
+    return params.half * balanced + params.p * (1 - balanced)
 
 
 @dataclass(frozen=True)
@@ -82,64 +74,44 @@ class SelectionBiasReport:
 
     @property
     def total(self) -> Number:
-        if isinstance(self.per_step[0], Fraction):
-            return sum(self.per_step, start=Fraction(0))
-        return math.fsum(self.per_step)
+        return NumericMode.of(self.params).sum(self.per_step)
 
     @property
     def excess(self) -> Number:
-        total = self.total
-        if isinstance(total, Fraction):
-            return total - Fraction(self.n, 2)
-        return total - self.n / 2.0
+        return self.total - self.n * self.params.half
 
     @property
     def average_excess(self) -> Number:
         return self.excess / self.n
 
 
-def selection_bias_report(
-    n: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> SelectionBiasReport:
+def selection_bias_report(n: int, params: DesignParams) -> SelectionBiasReport:
     """Per-step guess rates b_1 .. b_n, from all P(D_{j-1} = 0) in one batch."""
-    return selection_bias_reports([n], params, mode)[0]
+    return selection_bias_reports([n], params)[0]
 
 
-def selection_bias_reports(
-    ns: Sequence[int],
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> list[SelectionBiasReport]:
+def selection_bias_reports(ns: Sequence[int], params: DesignParams) -> list[SelectionBiasReport]:
     """`selection_bias_report` for each n of ns, read off one batch of the
     balance masses P(D_j = 0), j < max(ns).  A mass does not depend on the
     batch it is computed in, so each report equals its own."""
-    mode = NumericMode.coerce(mode)
     for n in ns:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
-    design = mode.design(params)
-    balanced = pmf_masses([(j, 0) for j in range(max(ns, default=0))], design, mode)
-    steps = tuple(_guess_rate(b, design, mode) for b in balanced)
+    balanced = pmf_masses([(j, 0) for j in range(max(ns, default=0))], params)
+    steps = tuple(_guess_rate(b, params) for b in balanced)
     return [SelectionBiasReport(n=n, params=params, per_step=steps[:n]) for n in ns]
 
 
-def total_bias_closed_form(
-    n: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> Number:
+def total_bias_closed_form(n: int, params: DesignParams) -> Number:
     """Expected correct guesses over n draws, by the direct double sum.
 
     Independent of the per-step route: the inner sum is evaluated from its
     own binomial recurrence, not from the imbalance pmf.
     """
-    mode = NumericMode.coerce(mode)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    params = mode.design(params)
-    p, q = mode.cast(params.p), mode.cast(params.q)
+    mode = NumericMode.of(params)
+    p, q = params.p, params.q
     half, one = mode.half, mode.one
 
     correction = mode.zero

@@ -43,7 +43,6 @@ from .simulate import (
     rank_statistic,
     rank_statistic_variance,
 )
-from .stable import EXACT_RATIONAL, FLOAT64_STABLE
 from . import tables
 
 __all__ = ["FLOAT_SIGMA_N_CAP", "OutputRecord", "RATIONAL_N_CAP", "main"]
@@ -158,13 +157,9 @@ def _labelled(args, inputs: list, values: list) -> CommandOutput:
     return CommandOutput(_record(args, inputs, values), ["label", "value"], list(map(list, values)))
 
 
-def _mode_of(args):
-    return EXACT_RATIONAL if args.mode == "rational" else FLOAT64_STABLE
-
-
 def _params_of(args) -> DesignParams:
-    exact = args.mode == "rational"
-    return DesignParams(parse_probability(args.p, exact=exact))
+    """p as a Fraction under --mode rational, else a float: the arithmetic follows p."""
+    return DesignParams(parse_probability(args.p, exact=args.mode == "rational"))
 
 
 def _check_rational_cap(args, n: int):
@@ -211,12 +206,11 @@ def _read_numbers(path: str) -> list[float]:
 def _cmd_pmf(args) -> CommandOutput:
     _check_rational_cap(args, args.n)
     params = _params_of(args)
-    mode = _mode_of(args)
     inputs = [("n", args.n), ("p", params.p)]
     if args.k is not None:
         inputs.append(("k", args.k))
-        return _labelled(args, inputs, [("probability", pmf_at(args.n, args.k, params, mode))])
-    dist = pmf_dn(args.n, params, mode)
+        return _labelled(args, inputs, [("probability", pmf_at(args.n, args.k, params))])
+    dist = pmf_dn(args.n, params)
     rows = [[k, dist.mass(k)] for k in dist.support()]
     values = [(str(k), mass) for k, mass in rows]
     return CommandOutput(_record(args, inputs, values), ["k", "probability"], rows)
@@ -224,7 +218,6 @@ def _cmd_pmf(args) -> CommandOutput:
 
 def _cmd_var(args) -> CommandOutput:
     params = _params_of(args)
-    mode = _mode_of(args)
     if args.limit is not None:
         inputs = [("p", params.p), ("limit", args.limit)]
         return _labelled(args, inputs, [("limit_variance", asymptotic_var(params, args.limit))])
@@ -232,7 +225,7 @@ def _cmd_var(args) -> CommandOutput:
         raise ValueError("var needs --n or --limit {even,odd}")
     _check_rational_cap(args, args.n)
     inputs = [("n", args.n), ("p", params.p)]
-    return _labelled(args, inputs, [("variance", var_dn(args.n, params, mode))])
+    return _labelled(args, inputs, [("variance", var_dn(args.n, params))])
 
 
 def _cmd_stationary(args) -> CommandOutput:
@@ -326,7 +319,7 @@ def _cmd_sigma(args) -> CommandOutput:
     if (args.eigen or args.check_conjecture) and args.n < 2:
         raise ValueError("need n >= 2")
     params = _params_of(args)
-    cov = sigma(args.n, params, _mode_of(args))
+    cov = sigma(args.n, params)
     header = [f"c{j}" for j in range(1, args.n + 1)]
     rows = [[cov.entry(i, j) for j in range(1, args.n + 1)] for i in range(1, args.n + 1)]
     values = [
@@ -351,7 +344,7 @@ def _cmd_sigma(args) -> CommandOutput:
 def _cmd_eigen(args) -> CommandOutput:
     _check_sigma_cap(args, args.n)
     params = _params_of(args)
-    cov = sigma(args.n, params, _mode_of(args))
+    cov = sigma(args.n, params)
     spectrum = eigen_spectrum(cov)
     residual = verify_2p_eigenpair(cov)
     rows = [[idx, float(lam)] for idx, lam in enumerate(spectrum, start=1)]
@@ -369,9 +362,8 @@ def _cmd_eigen(args) -> CommandOutput:
 def _cmd_selection_bias(args) -> CommandOutput:
     _check_rational_cap(args, args.n)
     params = _params_of(args)
-    mode = _mode_of(args)
-    report = selection_bias_report(args.n, params, mode)
-    closed = total_bias_closed_form(args.n, params, mode)
+    report = selection_bias_report(args.n, params)
+    closed = total_bias_closed_form(args.n, params)
     inputs = [("n", args.n), ("p", params.p)]
     if args.per_step:
         rows = [[j, value] for j, value in enumerate(report.per_step, start=1)]
@@ -391,7 +383,7 @@ def _cmd_selection_bias(args) -> CommandOutput:
 def _cmd_accidental_bias(args) -> CommandOutput:
     _check_sigma_cap(args, args.n)
     params = _params_of(args)
-    cov = sigma(args.n, params, _mode_of(args))
+    cov = sigma(args.n, params)
     if args.z is not None:
         z = np.array(_parse_list(args.z, float))
     else:
@@ -420,7 +412,10 @@ def _cmd_ranktest(args) -> CommandOutput:
 
     assignments = None
     if args.assignments is not None:
-        raw_t = [int(v) for v in _read_numbers(args.assignments)]
+        try:
+            raw_t = [int(v) for v in _read_numbers(args.assignments)]
+        except OverflowError as err:
+            raise ValueError(f"assignments in {args.assignments} must be finite") from err
         assignments = TreatmentSequence(np.array(raw_t, dtype=np.int8), params)
         inputs.append(("assignments", args.assignments))
     elif args.seed is not None:

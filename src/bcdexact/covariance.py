@@ -38,7 +38,7 @@ import numpy as np
 
 from .design import DesignParams, Number, transition_prob
 from .exact import _term, _two_sided_scan, pmf_dn
-from .stable import FLOAT64_STABLE, NumericMode
+from .stable import NumericMode
 
 __all__ = [
     "AssignmentCovariance",
@@ -59,18 +59,13 @@ class ConvergenceError(RuntimeError):
     """Rotation sweep failed to reach the residual tolerance in its budget."""
 
 
-def first_visit(
-    k: int,
-    steps: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> Number:
+def first_visit(k: int, steps: int, params: DesignParams) -> Number:
     """P(first return to balance from imbalance k takes exactly `steps`).
 
     k = 0 is the degenerate visit: 1 at steps = 0, else 0.  Off-parity or
     too-short step counts have probability 0.
     """
-    mode = NumericMode.coerce(mode)
+    mode = NumericMode.of(params)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     k = abs(k)
@@ -78,10 +73,9 @@ def first_visit(
         return mode.one if steps == 0 else mode.zero
     if steps < k or (steps - k) % 2:
         return mode.zero
-    params = mode.design(params)
     if params.q == 0 and steps > k:
         return mode.zero
-    return mode.sum([_term(steps + k, 0, (steps - k) // 2, params, mode, steps)])
+    return mode.sum([_term(steps + k, 0, (steps - k) // 2, params, steps)])
 
 
 class FirstVisitTable:
@@ -93,9 +87,9 @@ class FirstVisitTable:
     matrix.
     """
 
-    def __init__(self, params: DesignParams, mode: NumericMode | str = FLOAT64_STABLE):
+    def __init__(self, params: DesignParams):
         self.params = params
-        self.mode = NumericMode.coerce(mode)
+        self._mode = NumericMode.of(params)
         self._rows: dict[int, list[Number]] = {}
 
     def f_hat(self, k: int, horizon: int) -> Number:
@@ -103,11 +97,11 @@ class FirstVisitTable:
             raise ValueError("horizon must be >= 0")
         k = abs(k)
         if k == 0:
-            return self.mode.one
-        row = self._rows.setdefault(k, [self.mode.zero])  # fhat_k(0) = 0
+            return self._mode.one
+        row = self._rows.setdefault(k, [self._mode.zero])  # fhat_k(0) = 0
         while len(row) <= horizon:
             u = len(row)
-            row.append(row[-1] + first_visit(k, u, self.params, self.mode))
+            row.append(row[-1] + first_visit(k, u, self.params))
         return row[horizon]
 
 
@@ -116,7 +110,6 @@ def cond_assignment(
     n: int,
     k: int,
     params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
     table: FirstVisitTable | None = None,
 ) -> Number:
     """P(T_m = +1 | D_n = k) for m > n >= 1.
@@ -128,23 +121,20 @@ def cond_assignment(
 
         (1/2 - t_k) * fhat_k(m - n - 1) + t_k
     """
-    mode = NumericMode.coerce(mode)
-    params = mode.design(params)
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m, got n={n}, m={m}")
     if abs(k) > n or (n - k) % 2:
-        return mode.zero
+        return NumericMode.of(params).zero
     if table is None:
-        table = FirstVisitTable(params, mode)
-    t_k = mode.cast(transition_prob(params, k))
-    return (mode.half - t_k) * table.f_hat(k, m - n - 1) + t_k
+        table = FirstVisitTable(params)
+    t_k = transition_prob(params, k)
+    return (params.half - t_k) * table.f_hat(k, m - n - 1) + t_k
 
 
 def joint_assignment(
     n: int,
     m: int,
     params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
     pmf_provider: Callable[[int, int], Number] | None = None,
     table: FirstVisitTable | None = None,
 ) -> Number:
@@ -156,24 +146,22 @@ def joint_assignment(
     imbalance k + 1.  A caller filling many entries may share the law
     P(D_m = k) as pmf_provider(m, k) and the first-return table.
     """
-    mode = NumericMode.coerce(mode)
-    params = mode.design(params)
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m, got n={n}, m={m}")
     if pmf_provider is None:
-        law = pmf_dn(n - 1, params, mode)
+        law = pmf_dn(n - 1, params)
         pmf_provider = lambda _, k: law.mass(k)
     if table is None:
-        table = FirstVisitTable(params, mode)
+        table = FirstVisitTable(params)
 
     terms = []
     for k in range(-(n - 1), n, 2):
         mass = pmf_provider(n - 1, k)
         if not mass:
             continue
-        t_k = mode.cast(transition_prob(params, k))
-        terms.append(cond_assignment(m, n, k + 1, params, mode, table) * mass * t_k)
-    return mode.sum(terms)
+        t_k = transition_prob(params, k)
+        terms.append(cond_assignment(m, n, k + 1, params, table) * mass * t_k)
+    return NumericMode.of(params).sum(terms)
 
 
 @dataclass(frozen=True)
@@ -230,15 +218,15 @@ def _first_return_table(n: int, params: DesignParams, one: Number) -> np.ndarray
     return np.cumsum(f, axis=1)
 
 
-def _imbalance_laws(n: int, params: DesignParams, mode: NumericMode):
+def _imbalance_laws(n: int, params: DesignParams):
     """Signed laws {k: P(D_m = k)} for m = 0 .. n - 1.
 
-    Float mode reads every mass off one call of the closed-form ratio scan
-    over all (m, k), and fills each law k by k, +k before -k; rational
-    mode uses the exact pmf_dn.
+    A float p reads every mass off one call of the closed-form ratio scan
+    over all (m, k), and fills each law k by k, +k before -k; a Fraction p
+    uses the exact pmf_dn.
     """
-    if mode.is_exact:
-        return [dict(pmf_dn(m, params, mode).masses) for m in range(n)]
+    if params.is_exact:
+        return [dict(pmf_dn(m, params).masses) for m in range(n)]
     lane_m = [m for k in range(n) for m in range(k, n, 2)]
     lane_k = [k for k in range(n) for _ in range(k, n, 2)]
     laws: list[dict[int, Number]] = [{} for _ in range(n)]
@@ -270,11 +258,7 @@ def _row_weights(i: int, law: dict[int, Number], params: DesignParams, zero: Num
     return w, c
 
 
-def sigma(
-    n: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> AssignmentCovariance:
+def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
     """Covariance matrix of the first n assignments, sigma_ij = 4 P_ij - 1.
 
     Row i above the diagonal is one vector-matrix product over the
@@ -284,14 +268,12 @@ def sigma(
     joint_assignment computes the same entries one at a time and is kept
     as the cross-check.
     """
-    mode = NumericMode.coerce(mode)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    # float mode computes with float params, whatever type p came in as
-    params = DesignParams(mode.cast(mode.design(params).p))
+    mode = NumericMode.of(params)
     table = _first_return_table(n, params, mode.one)
     out = np.full((n, n), mode.one)
-    for i, law in enumerate(_imbalance_laws(n - 1, params, mode), start=1):
+    for i, law in enumerate(_imbalance_laws(n - 1, params), start=1):
         w, c = _row_weights(i, law, params, mode.zero)
         m = slice(i % 2, i + 1, 2)
         out[i - 1, i:] = 4 * (w[m] @ table[m, : n - i] + c) - 1

@@ -28,8 +28,9 @@ Number = float | Fraction
 class DesignParams:
     """Biased-coin parameter p with derived quantities q = 1 - p, r = p/q.
 
-    p may be a float or a Fraction; Fraction (or int) keeps every derived
-    quantity exact, which the rational evaluation mode requires.
+    p may be a float or a Fraction, and the evaluators compute in its
+    arithmetic: a Fraction (or int) p keeps every quantity exact, a float p
+    computes in guarded float64.
     """
 
     p: Number
@@ -97,7 +98,10 @@ def parse_probability(text: str, exact: bool = False) -> Number:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"cannot parse probability {text!r}") from err
-    return value if exact else float(value)
+    try:
+        return value if exact else float(value)
+    except OverflowError as err:
+        raise ValueError(f"probability {text!r} is out of range") from err
 
 
 def transition_prob(params: DesignParams, imbalance: int):

@@ -13,9 +13,10 @@ and, for even n,
     P(D_n = 0) = p^(n/2)
                  * sum_{l=0}^{n/2 - 1} (n-2l)/(n+2l) * C(n/2 + l, l) * q^l.
 
-Each summand is evaluated either exactly over Fractions or in float64
-through the guarded product kernel in `stable`, which replays the kernel
-on all the summands a call needs at once.  A forward recurrence on
+Each summand is evaluated exactly over Fractions when p is a Fraction, and
+in float64 when p is a float, through the guarded product kernel in
+`stable`, which replays the kernel on all the summands a call needs at
+once.  A forward recurrence on
 the same law (`dp_pmf_dn`) is kept as an independent cross-check route and
 is never substituted for the closed form.
 
@@ -41,12 +42,7 @@ import numpy as np
 
 from . import stable
 from .design import DesignParams, Number
-from .stable import (
-    FLOAT64_STABLE,
-    NumericMode,
-    replay_term_products,
-    stable_term_product,
-)
+from .stable import NumericMode, replay_term_products, stable_term_product
 
 __all__ = [
     "ImbalancePMF",
@@ -102,13 +98,13 @@ def term_factors(
     return small, large
 
 
-def _term(n: int, k: int, l: int, params: DesignParams, mode: NumericMode, steps: int) -> Number:
-    """The l-th summand of P(D_n = k), k >= 0, in the arithmetic of mode.
+def _term(n: int, k: int, l: int, params: DesignParams, steps: int) -> Number:
+    """The l-th summand of P(D_n = k), k >= 0, in the arithmetic of p.
 
-    Exact over Fractions in rational mode; in float mode the guarded product
+    Exact over Fractions for a Fraction p; for a float p the guarded product
     of `term_factors` in the window M = 4 steps (a FactoredProduct if it banks).
     """
-    if not mode.is_exact:
+    if not params.is_exact:
         return stable_term_product(*term_factors(n, k, l, params), 4.0 * steps)
     p, q = params.p, params.q
     if k > 0:
@@ -140,24 +136,15 @@ def _exact_mass(n: int, k: int, count: int, params: DesignParams) -> Fraction:
     return p ** (n // 2) * total
 
 
-def pmf_at(
-    n: int,
-    k: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> Number:
+def pmf_at(n: int, k: int, params: DesignParams) -> Number:
     """P(D_n = k) from the closed form; 0 off the parity support."""
-    return pmf_masses([(n, k)], params, mode)[0]
+    return pmf_masses([(n, k)], params)[0]
 
 
-def pmf_masses(
-    points: Sequence[tuple[int, int]],
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> list[Number]:
+def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[Number]:
     """P(D_n = k) for each (n, k) of points, in order, from the closed form.
 
-    Rational mode sums each point exactly (`_exact_mass`).  A float call
+    A Fraction p sums each point exactly (`_exact_mass`).  A float call
     with fewer than SCALAR_LANES summands evaluates them one by one
     through the per-term kernel (`_term`), which costs less there than the
     replay's per-step numpy calls.  A larger float call replays the guarded kernel on the
@@ -166,7 +153,7 @@ def pmf_masses(
     points it asks for.  Every float mass is the same float the kernel
     gives summand by summand in the window M = 4n.
     """
-    mode = NumericMode.coerce(mode)
+    mode = NumericMode.of(params)
     masses: list = []
     wanted = []  # (index, n, k, last summand l)
     for n, k in points:
@@ -181,7 +168,6 @@ def pmf_masses(
             upper = (n - k) // 2 if k > 0 else n // 2 - 1
             wanted.append((len(masses), n, k, upper))
             masses.append(None)
-    params = mode.design(params)
     if not wanted:
         return masses
 
@@ -190,13 +176,13 @@ def pmf_masses(
     # lanes l = 0 .. upper of each point; at q == 0 only the summand free
     # of q is nonzero, and only for k <= 1
     counts = [u + 1 if q else int(kj <= 1) for kj, u in zip(k, upper)]
-    if mode.is_exact:
+    if params.is_exact:
         for i, nj, kj, count in zip(index, n, k, counts):
             masses[i] = _exact_mass(nj, kj, count, params)
         return masses
     if sum(counts) < SCALAR_LANES:
         for i, nj, kj, count in zip(index, n, k, counts):
-            masses[i] = mode.sum(_term(nj, kj, l, params, mode, nj) for l in range(count))
+            masses[i] = mode.sum(_term(nj, kj, l, params, nj) for l in range(count))
         return masses
     # whole points, in the fewest chunks of at most LANE_BATCH summands,
     # each filled up to about an equal share of the call's summands
@@ -210,18 +196,18 @@ def pmf_masses(
             lanes += counts[stop]
             stop += 1
         chunk = slice(start, stop)
-        found = _replayed_masses(n[chunk], k[chunk], counts[chunk], params, mode)
+        found = _replayed_masses(n[chunk], k[chunk], counts[chunk], params)
         for i, mass in zip(index[chunk], found):
             masses[i] = mass
         start = stop
     return masses
 
 
-def _replayed_masses(n, k, counts, params: DesignParams, mode: NumericMode) -> list[float]:
+def _replayed_masses(n, k, counts, params: DesignParams) -> list[float]:
     """P(D_n[j] = k[j]) from one replay of summands l < counts[j] of each point.
 
     The few summands that bank under the underflow guard are re-run
-    through `_term`, and `NumericMode.sum` adds each point's values; where
+    through `_term`, and `sum_term_values` adds each point's values; where
     none banks, that sum is the fsum of the replayed floats.
     """
     bounds = [0, *itertools.accumulate(counts)]
@@ -240,8 +226,8 @@ def _replayed_masses(n, k, counts, params: DesignParams, mode: NumericMode) -> l
     terms = values.tolist()
     for lane in banked:
         j = bisect.bisect_right(bounds, lane) - 1
-        terms[lane] = _term(n[j], k[j], lane - bounds[j], params, mode, n[j])
-    return [mode.sum(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+        terms[lane] = _term(n[j], k[j], lane - bounds[j], params, n[j])
+    return [stable.sum_term_values(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)
@@ -272,27 +258,20 @@ class ImbalancePMF:
         return sum(k * k * v for k, v in self.masses.items())
 
 
-def pmf_dn(
-    n: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> ImbalancePMF:
+def pmf_dn(n: int, params: DesignParams) -> ImbalancePMF:
     """Full law of D_n via the closed form, one point mass per support k."""
-    mode = NumericMode.coerce(mode)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     ks = range(n % 2, n + 1, 2)
     masses: dict[int, Number] = {}
-    for k, v in zip(ks, pmf_masses([(n, k) for k in ks], params, mode)):
+    for k, v in zip(ks, pmf_masses([(n, k) for k in ks], params)):
         masses[k] = v
         if k:
             masses[-k] = v
     return ImbalancePMF(n=n, params=params, masses=masses)
 
 
-def _dp_rows(
-    n: int, params: DesignParams, mode: NumericMode
-) -> Iterable[list[Number]]:
+def _dp_rows(n: int, params: DesignParams) -> Iterable[list[Number]]:
     """Rows of signed masses [P(D_j = 0), P(D_j = 1), ..., P(D_j = j)].
 
     Forward recurrence: the mass at 0 collects both neighbours (2p * mass
@@ -300,8 +279,8 @@ def _dp_rows(
     mass at 2, interior k gets q * mass(k-1) + p * mass(k+1), and the
     extreme k = j+1 is reached only from j with probability q.
     """
-    p = mode.cast(mode.design(params).p)
-    q = 1 - p
+    mode = NumericMode.of(params)
+    p, q = params.p, params.q
     half, zero = mode.half, mode.zero
     row: list[Number] = [mode.one]
     yield row
@@ -320,16 +299,11 @@ def _dp_rows(
         yield row
 
 
-def dp_pmf_dn(
-    n: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> ImbalancePMF:
+def dp_pmf_dn(n: int, params: DesignParams) -> ImbalancePMF:
     """Law of D_n via the forward recurrence (cross-check route)."""
-    mode = NumericMode.coerce(mode)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    for row in _dp_rows(n, params, mode):
+    for row in _dp_rows(n, params):
         pass
     masses: dict[int, Number] = {}
     for k in range(n % 2, n + 1, 2):
@@ -339,28 +313,20 @@ def dp_pmf_dn(
     return ImbalancePMF(n=n, params=params, masses=masses)
 
 
-def var_dn(
-    n: int,
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> Number:
+def var_dn(n: int, params: DesignParams) -> Number:
     """Var(D_n) = E[D_n^2] = sum over k >= 1 of k^2 P(|D_n| = k)."""
-    return var_dns([n], params, mode)[0]
+    return var_dns([n], params)[0]
 
 
-def var_dns(
-    ns: Sequence[int],
-    params: DesignParams,
-    mode: NumericMode | str = FLOAT64_STABLE,
-) -> list[Number]:
+def var_dns(ns: Sequence[int], params: DesignParams) -> list[Number]:
     """`var_dn` for each n of ns, read off one `pmf_masses` call over the
     points of every n.  A mass does not depend on the call it is computed
     in, so each variance equals its own."""
-    mode = NumericMode.coerce(mode)
     if any(n < 0 for n in ns):
         raise ValueError(f"n must be >= 0, got {min(ns)}")
     ks = [range(1 if n % 2 else 2, n + 1, 2) for n in ns]
-    masses = iter(pmf_masses([(n, k) for n, row in zip(ns, ks) for k in row], params, mode))
+    masses = iter(pmf_masses([(n, k) for n, row in zip(ns, ks) for k in row], params))
+    mode = NumericMode.of(params)
     return [mode.sum(k * k * 2 * next(masses) for k in row) for row in ks]
 
 

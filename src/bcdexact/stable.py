@@ -25,7 +25,7 @@ downstream sums rescale these instead of collapsing them to 0.0.
 `replay_term_products` runs the same multiplies for many terms at once,
 one numpy lane per term, in batches of lanes sorted by their multiply
 count, each step running only on the lanes not yet finished.  It is the
-route the closed forms take in float mode; `stable_term_product` is its
+route the closed forms take for a float p; `stable_term_product` is its
 per-term reference and its fallback.
 """
 
@@ -53,7 +53,9 @@ class NumericMode:
     """Evaluation backend: guarded float64 or exact rational arithmetic.
 
     The mode carries the arithmetic of its kind (constants, casts,
-    summation), so evaluators write one body for both.
+    summation), so evaluators write one body for both.  The evaluators
+    take it from p (`of`): a Fraction p computes exactly, a float p in
+    float64.
     """
 
     kind: str = FLOAT_KIND
@@ -91,6 +93,11 @@ class NumericMode:
         """The params to compute with: exact ones in rational mode, which
         refuses a float p, and the caller's own in float mode."""
         return params.as_exact() if self.is_exact else params
+
+    @staticmethod
+    def of(params: "DesignParams") -> "NumericMode":
+        """The arithmetic of p: exact for a Fraction (or int), else float64."""
+        return EXACT_RATIONAL if params.is_exact else FLOAT64_STABLE
 
     @classmethod
     def coerce(cls, mode) -> "NumericMode":

@@ -16,7 +16,6 @@ from typing import Sequence
 from .bias import asymptotic_excess, selection_bias_reports
 from .design import DesignParams
 from .exact import asymptotic_var, steady_state_threshold_table, var_dns
-from .stable import FLOAT64_STABLE, NumericMode
 
 __all__ = [
     "DEFAULT_P_GRID",
@@ -25,6 +24,7 @@ __all__ = [
     "VARIANCE_EVEN_N",
     "VARIANCE_ODD_N",
     "GUESS_N_GRID",
+    "MAX_PLACES",
     "round_half_even",
     "threshold_grid",
     "variance_grid",
@@ -39,12 +39,20 @@ VARIANCE_ODD_N = (5, 15, 25, 75)
 GUESS_N_GRID = (5, 10, 15, 20, 25, 50, 75, 100, 200)
 
 
+# A float's exact decimal expansion ends within 1074 places (2**-1074 is the
+# smallest subnormal), so more places would only pad zeros.
+MAX_PLACES = 1074
+
+
 def round_half_even(x: float, places: int) -> str:
     """Fixed-point decimal string with ties going to the even digit."""
-    if places < 0:
-        raise ValueError(f"places must be >= 0, got {places}")
+    if not 0 <= places <= MAX_PLACES:
+        raise ValueError(f"places must be in 0..{MAX_PLACES}, got {places}")
+    value = decimal.Decimal(x)
     quantum = decimal.Decimal(1).scaleb(-places)
-    return str(decimal.Decimal(x).quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
+    with decimal.localcontext() as context:  # room for every digit kept
+        context.prec = max(context.prec, value.adjusted() + places + 2)
+        return str(value.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
 
 
 def threshold_grid(
@@ -76,7 +84,6 @@ def variance_grid(
     even_n: Sequence[int] = VARIANCE_EVEN_N,
     odd_n: Sequence[int] = VARIANCE_ODD_N,
     p_values: Sequence[float] = DEFAULT_P_GRID,
-    mode: NumericMode | str = FLOAT64_STABLE,
     places: int = 2,
 ) -> list[dict]:
     """Var(D_n) on an even and an odd ladder of n, plus the n->inf row.
@@ -89,7 +96,7 @@ def variance_grid(
         for n in ns:
             if n % 2 != (0 if parity == "even" else 1):
                 raise ValueError(f"{n} is not {parity}")
-    found = [var_dns([*even_n, *odd_n], DesignParams(p), mode) for p in p_values]
+    found = [var_dns([*even_n, *odd_n], DesignParams(p)) for p in p_values]
     rows = []
     for parity, ns, start in ladders:
         cells = [(n, p, vs[start + i]) for i, n in enumerate(ns) for p, vs in zip(p_values, found)]
@@ -110,7 +117,6 @@ def variance_grid(
 def selection_bias_grid(
     n_values: Sequence[int] = GUESS_N_GRID,
     p_values: Sequence[float] = DEFAULT_P_GRID,
-    mode: NumericMode | str = FLOAT64_STABLE,
     places: int = 3,
 ) -> list[dict]:
     """Average per-draw excess guessing success, with the n->inf row.
@@ -118,9 +124,8 @@ def selection_bias_grid(
     Each p computes its balance masses once, for the largest n, and reads
     every n's report off them.
     """
-    mode = NumericMode.coerce(mode)
     excess = [
-        [report.average_excess for report in selection_bias_reports(n_values, DesignParams(p), mode)]
+        [report.average_excess for report in selection_bias_reports(n_values, DesignParams(p))]
         for p in p_values
     ]
     cells = [(n, p, excess[j][i]) for i, n in enumerate(n_values) for j, p in enumerate(p_values)]

@@ -118,7 +118,7 @@ def test_criterion_01_variance_reference_grid():
                 if n is None:
                     value = asymptotic_var(exact_params, parity)
                 else:
-                    value = var_dn(n, exact_params, "rational")
+                    value = var_dn(n, exact_params)
                 diff = abs(value - Fraction(text))
                 if diff > band:
                     violations.append(
@@ -158,7 +158,7 @@ def test_criterion_02_selection_bias_reference_grid():
             if n is None:
                 value = asymptotic_excess(exact_params)
             else:
-                value = selection_bias_report(n, exact_params, "rational").average_excess
+                value = selection_bias_report(n, exact_params).average_excess
             diff = abs(value - Fraction(text))
             if diff > band:
                 violations.append(
@@ -267,11 +267,10 @@ def test_criterion_05_three_route_oracle_equivalence():
     for p_exact in RATIONAL_P_GRID:
         for exact in (True, False):
             params = DesignParams(p_exact if exact else float(p_exact))
-            mode = "rational" if exact else "float64"
             masses, pairs = _enumerate_masses_and_pairs(n_top, params, exact)
             for n in range(1, n_top + 1):
-                closed = pmf_dn(n, params, mode)
-                recur = dp_pmf_dn(n, params, mode)
+                closed = pmf_dn(n, params)
+                recur = dp_pmf_dn(n, params)
                 support = sorted(set(closed.support()) | set(masses[n]))
                 for k in support:
                     a, b, c = closed.mass(k), recur.mass(k), masses[n].get(k, 0)
@@ -282,15 +281,15 @@ def test_criterion_05_three_route_oracle_equivalence():
                     if not agree:
                         violations.append(
                             f"pmf routes disagree at (n={n}, k={k}, p={params.p}, "
-                            f"{mode}): closed={a} recurrence={b} enumerated={c}"
+                            f"exact={exact}): closed={a} recurrence={b} enumerated={c}"
                         )
-            cov = sigma(n_top, params, mode)
+            cov = sigma(n_top, params)
             for (i, j), product in pairs.items():
                 entry = cov.entry(i, j)
                 ok = entry == product if exact else abs(entry - product) <= 1e-12
                 if not ok:
                     violations.append(
-                        f"covariance entry ({i},{j}) at p={params.p} ({mode}): "
+                        f"covariance entry ({i},{j}) at p={params.p} (exact={exact}): "
                         f"closed={entry} enumerated={product}"
                     )
 
@@ -361,7 +360,7 @@ def test_criterion_07_covariance_structure():
         if min_eig < -1e-8:
             violations.append(f"min eigenvalue {min_eig} at p={float(p_exact)}")
 
-        cov = sigma(64, DesignParams(p_exact), "rational")
+        cov = sigma(64, DesignParams(p_exact))
         for a in range(1, 33):
             for b in range(a + 1, 33):
                 corner = cov.entry(2 * a - 1, 2 * b - 1)

@@ -36,7 +36,7 @@ FROZEN_STEPS = [
 
 @pytest.mark.parametrize("j,p,expected", FROZEN_STEPS)
 def test_step_probability_matches_frozen_oracle(j, p, expected):
-    assert selection_bias_step(j, DesignParams(p), "rational") == expected
+    assert selection_bias_step(j, DesignParams(p)) == expected
     assert bf.guess_prob(j, p) == expected
     as_float = selection_bias_step(j, DesignParams(float(p)))
     assert as_float == pytest.approx(float(expected), abs=1e-15)
@@ -46,7 +46,7 @@ def test_even_draws_always_concede_p():
     for p in (Fraction(3, 5), Fraction(7, 10), Fraction(9, 10)):
         params = DesignParams(p)
         for j in (2, 4, 6, 10):
-            assert selection_bias_step(j, params, "rational") == p
+            assert selection_bias_step(j, params) == p
 
 
 def test_step_rejects_nonpositive_draw_index():
@@ -62,18 +62,18 @@ FROZEN_TOTALS = [
 
 @pytest.mark.parametrize("n,p,expected", FROZEN_TOTALS)
 def test_total_matches_frozen_oracle(n, p, expected):
-    report = selection_bias_report(n, DesignParams(p), "rational")
+    report = selection_bias_report(n, DesignParams(p))
     assert report.total == expected
     assert bf.expected_guesses(n, p) == expected
-    assert total_bias_closed_form(n, DesignParams(p), "rational") == expected
+    assert total_bias_closed_form(n, DesignParams(p)) == expected
 
 
 def test_per_step_sum_equals_the_closed_form_exactly():
     for p in (Fraction(3, 5), Fraction(7, 10), Fraction(9, 10)):
         params = DesignParams(p)
         for n in (1, 2, 3, 7, 12, 25):
-            report = selection_bias_report(n, params, "rational")
-            assert report.total == total_bias_closed_form(n, params, "rational"), (
+            report = selection_bias_report(n, params)
+            assert report.total == total_bias_closed_form(n, params), (
                 n,
                 p,
             )
@@ -90,7 +90,7 @@ def test_per_step_sum_tracks_the_closed_form_in_float():
 
 
 def test_report_excess_and_average():
-    report = selection_bias_report(5, P35, "rational")
+    report = selection_bias_report(5, P35)
     assert report.excess == Fraction(3487, 1250) - Fraction(5, 2)
     assert report.average_excess == report.excess / 5
     assert len(report.per_step) == 5
@@ -110,7 +110,7 @@ def test_average_excess_reference_points(n, p, digits):
 
 
 def test_fair_coin_never_beats_chance():
-    report = selection_bias_report(9, DesignParams(Fraction(1, 2)), "rational")
+    report = selection_bias_report(9, DesignParams(Fraction(1, 2)))
     assert report.total == Fraction(9, 2)
     assert report.excess == 0
 

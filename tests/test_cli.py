@@ -451,6 +451,35 @@ def test_usage_errors_exit_with_code_two(capsys, argv):
     assert "--help" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pmf", "--n", "5", "--p", "1e400"],
+        ["threshold", "--p", "0.7,1e400"],
+        ["simulate", "--n", "5", "--p", "1e400", "--statistic", "balance", "--reps", "10"],
+        ["ranktest", "--scores", "{files}/scores.txt", "--p", "1e400"],
+        ["ranktest", "--scores", "{files}/scores.txt", "--p", "0.7",
+         "--assignments", "{files}/inf.txt"],
+        ["table2", "--places", "1075"],
+        ["table3", "--places", "-1"],
+    ],
+)
+def test_numbers_out_of_range_are_refused_by_name(tmp_path, capsys, argv):
+    write_values(tmp_path / "scores.txt", [1, 2, 3])
+    write_values(tmp_path / "inf.txt", [1, -1, "inf"])
+    code, out, err = run_cli(capsys, *(arg.replace("{files}", str(tmp_path)) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert any(name in err for name in ("'1e400'", "inf.txt", "places")), err
+
+
+def test_places_beyond_the_default_context_are_answered(capsys):
+    code, out, _ = run_cli(capsys, "table3", "--n", "5", "--p", "0.7", "--places", "30")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert rows[0] == ["5", "0.7", "0.10651999999999999", "0.106519999999999989692689439380"]
+
+
 EDGE_INPUTS = [
     *([command, "--n", "6", "--p", p] for command in ("pmf", "var", "eigen") for p in ("1", "1/2")),
     *(["sigma", "--n", "6", "--p", p, "--mode", "rational"] for p in ("1", "1/2")),

@@ -30,7 +30,6 @@ from bcdexact.covariance import (
 )
 from bcdexact.design import DesignParams
 from bcdexact.exact import _two_sided_scan, dp_pmf_dn, pmf_dn
-from bcdexact.stable import FLOAT64_STABLE
 from test_exact import scalar_scan
 
 P23 = DesignParams(Fraction(2, 3))
@@ -52,7 +51,7 @@ FROZEN_FIRST_VISITS = [
 
 @pytest.mark.parametrize("k,steps,p,expected", FROZEN_FIRST_VISITS)
 def test_first_visit_matches_frozen_oracle(k, steps, p, expected):
-    assert first_visit(k, steps, DesignParams(p), "rational") == expected
+    assert first_visit(k, steps, DesignParams(p)) == expected
     assert first_visit(k, steps, DesignParams(float(p))) == pytest.approx(
         float(expected), abs=1e-15
     )
@@ -63,7 +62,7 @@ def test_first_visit_against_oracle_sweep():
         params = DesignParams(p)
         for k in (1, 2, 3):
             for steps in range(0, 9):
-                assert first_visit(k, steps, params, "rational") == bf.first_visit(
+                assert first_visit(k, steps, params) == bf.first_visit(
                     k, steps, p
                 ), (k, steps, p)
 
@@ -79,18 +78,18 @@ FROZEN_CONDITIONALS = [
 
 @pytest.mark.parametrize("m,n,k,p,expected", FROZEN_CONDITIONALS)
 def test_conditional_assignment_matches_frozen_oracle(m, n, k, p, expected):
-    assert cond_assignment(m, n, k, DesignParams(p), "rational") == expected
+    assert cond_assignment(m, n, k, DesignParams(p)) == expected
     assert bf.cond_plus(m, n, k, p) == expected  # oracle agrees with itself
 
 
 def test_conditional_on_an_impossible_event_is_zero():
-    assert cond_assignment(4, 2, 1, P23, "rational") == 0  # parity-impossible
-    assert cond_assignment(5, 2, 4, P23, "rational") == 0  # out of range
+    assert cond_assignment(4, 2, 1, P23) == 0  # parity-impossible
+    assert cond_assignment(5, 2, 4, P23) == 0  # out of range
 
 
 def test_conditional_requires_a_later_draw():
     with pytest.raises(ValueError):
-        cond_assignment(2, 2, 0, P23, "rational")
+        cond_assignment(2, 2, 0, P23)
 
 
 FROZEN_JOINTS = [
@@ -106,13 +105,13 @@ FROZEN_JOINTS = [
 
 @pytest.mark.parametrize("n,m,p,expected", FROZEN_JOINTS)
 def test_joint_assignment_matches_frozen_oracle(n, m, p, expected):
-    assert joint_assignment(n, m, DesignParams(p), "rational") == expected
+    assert joint_assignment(n, m, DesignParams(p)) == expected
 
 
 def test_fair_coin_joints_factorize_everywhere():
     params = DesignParams(Fraction(1, 2))
     for n, m in [(1, 2), (2, 5), (3, 4), (4, 9)]:
-        assert joint_assignment(n, m, params, "rational") == Fraction(1, 4)
+        assert joint_assignment(n, m, params) == Fraction(1, 4)
 
 
 FROZEN_SIGMA_ENTRIES = [
@@ -125,12 +124,12 @@ FROZEN_SIGMA_ENTRIES = [
 
 @pytest.mark.parametrize("i,j,p,expected", FROZEN_SIGMA_ENTRIES)
 def test_covariance_entries_match_frozen_oracle(i, j, p, expected):
-    cov = sigma(max(i, j), DesignParams(p), "rational")
+    cov = sigma(max(i, j), DesignParams(p))
     assert cov.entry(i, j) == expected
 
 
 def test_two_by_two_matrix_shape():
-    cov = sigma(2, DesignParams(Fraction(4, 5)), "rational")
+    cov = sigma(2, DesignParams(Fraction(4, 5)))
     assert cov.entry(1, 1) == 1
     assert cov.entry(2, 2) == 1
     assert cov.entry(1, 2) == cov.entry(2, 1) == Fraction(-3, 5)  # 1 - 2p
@@ -142,7 +141,7 @@ def test_fair_coin_gives_the_identity_matrix():
 
 
 def test_forced_alternation_pairs_neighbours():
-    cov = sigma(6, DesignParams(Fraction(1)), "rational")
+    cov = sigma(6, DesignParams(Fraction(1)))
     for i in range(1, 7):
         for j in range(i + 1, 7):
             expected = Fraction(-1) if (j == i + 1 and i % 2 == 1) else Fraction(0)
@@ -150,8 +149,8 @@ def test_forced_alternation_pairs_neighbours():
 
 
 def test_entries_do_not_depend_on_the_horizon():
-    small = sigma(4, P710, "rational")
-    large = sigma(9, P710, "rational")
+    small = sigma(4, P710)
+    large = sigma(9, P710)
     for i in range(1, 5):
         for j in range(1, 5):
             assert small.entry(i, j) == large.entry(i, j)
@@ -167,7 +166,7 @@ def test_matrix_is_symmetric_with_unit_diagonal():
 
 
 def test_paired_block_entries_are_equal_exactly():
-    cov = sigma(10, P23, "rational")
+    cov = sigma(10, P23)
     for a in range(1, 6):
         for b in range(a + 1, 6):
             corner = cov.entry(2 * a - 1, 2 * b - 1)
@@ -178,18 +177,18 @@ def test_paired_block_entries_are_equal_exactly():
 
 def test_matrix_against_exhaustive_enumeration():
     for p in (Fraction(3, 5), Fraction(9, 10)):
-        cov = sigma(6, DesignParams(p), "rational")
+        cov = sigma(6, DesignParams(p))
         for i in range(1, 7):
             for j in range(i + 1, 7):
                 assert cov.entry(i, j) == bf.sigma_entry(i, j, p), (i, j, p)
 
 
-def _per_entry_sigma(n, params, mode=FLOAT64_STABLE):
+def _per_entry_sigma(n, params):
     """Upper triangle of Sigma from one joint_assignment call per entry."""
-    laws = {m: pmf_dn(m, params, mode) for m in range(n)}
-    table = FirstVisitTable(params, mode)
+    laws = {m: pmf_dn(m, params) for m in range(n)}
+    table = FirstVisitTable(params)
     return {
-        (i, j): 4 * joint_assignment(i, j, params, mode, lambda m, k: laws[m].mass(k), table) - 1
+        (i, j): 4 * joint_assignment(i, j, params, lambda m, k: laws[m].mass(k), table) - 1
         for i in range(1, n + 1)
         for j in range(i + 1, n + 1)
     }
@@ -208,8 +207,8 @@ def test_float_rows_match_the_per_entry_route(p):
 def test_rational_rows_equal_the_per_entry_route_and_enumeration(p):
     n = 16
     params = DesignParams(p)
-    cov = sigma(n, params, "rational")
-    for (i, j), want in _per_entry_sigma(n, params, "rational").items():
+    cov = sigma(n, params)
+    for (i, j), want in _per_entry_sigma(n, params).items():
         assert cov.entry(i, j) == want, (i, j)
     for i, j in [(1, 2), (2, 7), (3, 8), (5, 9), (8, 10), (1, 10)]:
         assert cov.entry(i, j) == bf.sigma_entry(i, j, p), (i, j)
@@ -236,7 +235,7 @@ def test_row_sources_hold_at_the_float_size_cap(p):
 
 def test_float_laws_keep_the_k_major_key_order():
     # _row_weights sums each law in its key order, so the order fixes Sigma's bits
-    laws = _imbalance_laws(20, DesignParams(0.7), FLOAT64_STABLE)
+    laws = _imbalance_laws(20, DesignParams(0.7))
     for m, law in enumerate(laws):
         assert list(law) == [j for k in range(m % 2, m + 1, 2) for j in ((k, -k) if k else (0,))]
 
@@ -257,11 +256,6 @@ def test_quadratic_form_and_validation():
     assert cov.quadratic_form(z) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         cov.quadratic_form(np.ones(3))
-
-
-def test_rational_mode_requires_rational_p():
-    with pytest.raises(ValueError):
-        sigma(3, DesignParams(0.7), "rational")
 
 
 # ---------------------------------------------------------------------------

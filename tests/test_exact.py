@@ -61,17 +61,17 @@ FROZEN_MASSES = [
 def test_rational_masses_match_frozen_oracle_values(n, p, masses):
     params = DesignParams(p)
     for k, expected in masses.items():
-        assert pmf_at(n, k, params, "rational") == expected
-        assert pmf_at(n, -k, params, "rational") == expected
+        assert pmf_at(n, k, params) == expected
+        assert pmf_at(n, -k, params) == expected
 
 
 def test_forced_alternation_pins_the_walk_to_zero_and_one():
     one = DesignParams(Fraction(1))
-    assert pmf_at(3, 1, one, "rational") == Fraction(1, 2)
-    assert pmf_at(3, -1, one, "rational") == Fraction(1, 2)
-    assert pmf_at(3, 3, one, "rational") == 0
-    assert pmf_at(4, 0, one, "rational") == 1
-    assert pmf_at(4, 2, one, "rational") == 0
+    assert pmf_at(3, 1, one) == Fraction(1, 2)
+    assert pmf_at(3, -1, one) == Fraction(1, 2)
+    assert pmf_at(3, 3, one) == 0
+    assert pmf_at(4, 0, one) == 1
+    assert pmf_at(4, 2, one) == 0
 
 
 def test_fair_coin_gives_binomial_masses():
@@ -81,19 +81,19 @@ def test_fair_coin_gives_binomial_masses():
             if (n - k) % 2:
                 continue
             expected = Fraction(math.comb(n, (n + k) // 2), 2**n)
-            assert pmf_at(n, k, params, "rational") == expected
+            assert pmf_at(n, k, params) == expected
 
 
 def test_off_support_masses_are_zero():
-    assert pmf_at(4, 1, P23, "rational") == 0
-    assert pmf_at(4, 6, P23, "rational") == 0
+    assert pmf_at(4, 1, P23) == 0
+    assert pmf_at(4, 6, P23) == 0
     assert pmf_at(5, 0, P23) == 0.0
     assert pmf_at(3, -7, DesignParams(0.7)) == 0.0
 
 
 def test_zero_draws_is_a_point_mass_at_zero():
-    assert pmf_at(0, 0, P23, "rational") == 1
-    assert pmf_at(0, 2, P23, "rational") == 0
+    assert pmf_at(0, 0, P23) == 1
+    assert pmf_at(0, 2, P23) == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 9, 12])
@@ -102,8 +102,8 @@ def test_zero_draws_is_a_point_mass_at_zero():
 )
 def test_three_routes_agree_exactly_in_rational_mode(n, p):
     params = DesignParams(p)
-    closed = pmf_dn(n, params, "rational")
-    recurrence = dp_pmf_dn(n, params, "rational")
+    closed = pmf_dn(n, params)
+    recurrence = dp_pmf_dn(n, params)
     walk = bf.pmf(n, p)
     for k in range(-n, n + 1):
         if (n - k) % 2:
@@ -128,7 +128,7 @@ def test_float_kernel_matches_exact_rationals_to_twelve_digits(n, pf):
     float_params = DesignParams(float(pf))
     exact_params = DesignParams(pf)
     for k in range(n % 2, n + 1, max(2, n // 6)):
-        exact = pmf_at(n, k, exact_params, "rational")
+        exact = pmf_at(n, k, exact_params)
         approx = pmf_at(n, k, float_params)
         if exact == 0:
             assert approx == 0.0
@@ -140,7 +140,7 @@ def test_float_kernel_matches_exact_rationals_to_twelve_digits(n, pf):
 
 def test_distribution_normalizes_and_is_symmetric():
     for n, p in [(7, Fraction(3, 5)), (12, Fraction(9, 10)), (9, Fraction(1, 2))]:
-        dist = pmf_dn(n, DesignParams(p), "rational")
+        dist = pmf_dn(n, DesignParams(p))
         assert dist.total() == 1
         for k in dist.support():
             assert dist.mass(k) == dist.mass(-k)
@@ -150,7 +150,7 @@ def test_distribution_normalizes_and_is_symmetric():
 
 
 def test_two_draw_variance_is_four_q():
-    assert var_dn(2, P23, "rational") == 4 * Fraction(1, 3)
+    assert var_dn(2, P23) == 4 * Fraction(1, 3)
     assert var_dn(2, DesignParams(0.7)) == pytest.approx(1.2)
 
 
@@ -163,14 +163,14 @@ FROZEN_VARIANCES = [
 
 @pytest.mark.parametrize("n,p,expected", FROZEN_VARIANCES)
 def test_variances_match_frozen_oracle_values(n, p, expected):
-    assert var_dn(n, DesignParams(p), "rational") == expected
-    assert pmf_dn(n, DesignParams(p), "rational").variance() == expected
+    assert var_dn(n, DesignParams(p)) == expected
+    assert pmf_dn(n, DesignParams(p)).variance() == expected
 
 
 def test_variance_of_forced_alternation_is_parity_indicator():
     one = DesignParams(Fraction(1))
-    assert var_dn(4, one, "rational") == 0
-    assert var_dn(7, one, "rational") == 1
+    assert var_dn(4, one) == 0
+    assert var_dn(7, one) == 1
 
 
 def test_variance_grows_with_n_within_parity():
@@ -255,7 +255,7 @@ def test_finite_odd_variance_rises_to_the_limit_from_below():
     # close on the odd limit from below, so no limit at or above 1.105 fits
     params = DesignParams(Fraction(9, 10))
     limit = asymptotic_var(params, "odd")
-    odds = [var_dn(n, params, "rational") for n in range(1, 40, 2)]
+    odds = [var_dn(n, params) for n in range(1, 40, 2)]
     assert all(a < b for a, b in zip(odds, odds[1:]))
     assert odds[-1] < limit
     assert limit - odds[-1] < Fraction(1, 10**10)

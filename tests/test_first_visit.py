@@ -72,19 +72,19 @@ def test_rational_first_visit_equals_the_path_oracle(p):
     params = DesignParams(p)
     for k in range(0, 5):
         for steps in range(0, 12):
-            assert first_visit(k, steps, params, "rational") == bf.first_visit(k, steps, p)
+            assert first_visit(k, steps, params) == bf.first_visit(k, steps, p)
     # and the direct first-passage formula at long step counts
     for k, steps in [point for point in sampled_points(11) if point[0]][::10]:
         toward, away = (steps + k) // 2, (steps - k) // 2
         want = Fraction(0) if steps < k or (steps - k) % 2 else (
             Fraction(k, steps) * math.comb(steps, toward) * p**toward * (1 - p) ** away
         )
-        assert first_visit(k, steps, params, "rational") == want, (k, steps, p)
+        assert first_visit(k, steps, params) == want, (k, steps, p)
 
 
 def test_banked_first_return_masses_add_up():
     got = FirstVisitTable(DesignParams(0.99)).f_hat(1, 600)
-    want = FirstVisitTable(DesignParams(Fraction(99, 100)), "rational").f_hat(1, 600)
+    want = FirstVisitTable(DesignParams(Fraction(99, 100))).f_hat(1, 600)
     assert type(got) is float
     assert abs(got - want) < 1e-12
     assert isinstance(factor_bag_first_visit(1, 501, 0.99), FactoredProduct)
@@ -95,5 +95,5 @@ def test_cov_at_a_long_gap_near_p_1_answers(capsys):
     assert main(["simulate", "--n", "600", "--p", "0.99",
                  "--statistic", "cov(1,600)", "--reps", "2"]) == 0
     rows = dict(line.split(",") for line in capsys.readouterr().out.splitlines())
-    exact = 4 * joint_assignment(1, 600, DesignParams(Fraction(99, 100)), "rational") - 1
+    exact = 4 * joint_assignment(1, 600, DesignParams(Fraction(99, 100))) - 1
     assert abs(float(rows["exact"]) - exact) < 1e-12

@@ -90,7 +90,7 @@ def test_first_visit_split_identity_float(n, p):
 @pytest.mark.parametrize("n", [2, 3, 8, 21, 60])
 def test_first_visit_split_identity_exact(n):
     params = DesignParams(Fraction(2, 3))
-    table = FirstVisitTable(params, "rational")
+    table = FirstVisitTable(params)
     assert table.f_hat(1, n - 1) == Fraction(2, 3) + Fraction(1, 3) * table.f_hat(2, n - 2)
 
 
@@ -114,8 +114,8 @@ def test_first_visit_from_anywhere_is_eventually_certain():
 def test_single_step_masses_match_transition_probabilities():
     params = DesignParams(Fraction(7, 10))
     # one step from distance one: returning means drawing toward balance
-    assert first_visit(1, 1, params, "rational") == Fraction(7, 10)
-    assert first_visit(-1, 1, params, "rational") == Fraction(7, 10)
+    assert first_visit(1, 1, params) == Fraction(7, 10)
+    assert first_visit(-1, 1, params) == Fraction(7, 10)
     # from distance two the soonest return is two steps
-    assert first_visit(2, 2, params, "rational") == Fraction(49, 100)
-    assert first_visit(2, 1, params, "rational") == 0
+    assert first_visit(2, 2, params) == Fraction(49, 100)
+    assert first_visit(2, 1, params) == 0

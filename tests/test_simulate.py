@@ -62,9 +62,7 @@ def test_deterministic_coin_forces_alternation():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_enumerated_balance_mass_is_exact(n):
-    assert enumerate_exact(n, P23, stat_balance(), "rational") == pmf_at(
-        n, 0, P23, "rational"
-    )
+    assert enumerate_exact(n, P23, stat_balance(), "rational") == pmf_at(n, 0, P23)
 
 
 @pytest.mark.parametrize("p", [Fraction(3, 5), Fraction(9, 10)])
@@ -72,13 +70,13 @@ def test_enumerated_variance_is_exact(p):
     params = DesignParams(p)
     for n in (3, 6, 9):
         assert enumerate_exact(n, params, stat_imbalance_sq(), "rational") == var_dn(
-            n, params, "rational"
+            n, params
         )
 
 
 def test_enumerated_pair_product_is_the_covariance_entry():
     params = DesignParams(Fraction(7, 10))
-    cov = sigma(6, params, "rational")
+    cov = sigma(6, params)
     for i, j in [(1, 2), (2, 5), (3, 6)]:
         assert enumerate_exact(6, params, stat_product(i, j), "rational") == cov.entry(
             i, j
@@ -89,7 +87,7 @@ def test_enumerated_guess_rate_is_the_per_step_bias():
     params = DesignParams(Fraction(3, 5))
     for j in (1, 2, 5, 7):
         assert enumerate_exact(j, params, stat_correct_guess(j), "rational") == (
-            selection_bias_step(j, params, "rational")
+            selection_bias_step(j, params)
         )
 
 

@@ -1,5 +1,6 @@
 """Reference grids: rendered digits, threading, and the rounding helper."""
 
+import decimal
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from bcdexact.stable import NumericMode
 from bcdexact.tables import (
     DEFAULT_P_GRID,
     GUESS_N_GRID,
+    MAX_PLACES,
     THRESHOLD_K_GRID,
     THRESHOLD_TOL_GRID,
     VARIANCE_EVEN_N,
@@ -76,6 +78,16 @@ def test_round_half_even_breaks_ties_to_even():
         round_half_even(1.0, -1)
 
 
+def test_round_half_even_keeps_every_digit_up_to_max_places():
+    assert round_half_even(0.1, 30) == "0.100000000000000005551115123126"
+    assert round_half_even(1e300, 30).endswith("." + "0" * 30)
+    # 2**-1074 is the smallest subnormal, and its last digit is the last place
+    assert decimal.Decimal(round_half_even(5e-324, MAX_PLACES)) == decimal.Decimal(5e-324)
+    assert round_half_even(5e-324, MAX_PLACES - 1) != round_half_even(5e-324, MAX_PLACES)
+    with pytest.raises(ValueError, match="places must be in 0..1074"):
+        round_half_even(0.1, MAX_PLACES + 1)
+
+
 def test_variance_grid_renders_the_reference_digits():
     rows = variance_grid()
     assert len(rows) == 44
@@ -110,34 +122,35 @@ def test_variance_grid_row_order_is_stable():
     ]
 
 
-def one_law_variance(n, params, mode):
+def one_law_variance(n, params):
     """Var(D_n) from a pmf_masses call over the law of D_n alone (the oracle)."""
-    mode = NumericMode.coerce(mode)
     ks = range(1 if n % 2 else 2, n + 1, 2)
-    masses = pmf_masses([(n, k) for k in ks], params, mode)
-    return mode.sum(k * k * 2 * v for k, v in zip(ks, masses))
+    masses = pmf_masses([(n, k) for k in ks], params)
+    return NumericMode.of(params).sum(k * k * 2 * v for k, v in zip(ks, masses))
 
 
-@pytest.mark.parametrize("mode,ps", [("float", (0.55, 0.6, 0.95, 0.999)),
-                                     ("rational", (Fraction(7, 10),))])
-def test_variance_grid_reads_both_ladders_off_one_batch_per_p(mode, ps, monkeypatch):
-    even, odd = ((4, 10, 0), (1, 7)) if mode == "rational" else (VARIANCE_EVEN_N, VARIANCE_ODD_N)
+# the arithmetic label only names what the type of p selects
+@pytest.mark.parametrize("arithmetic,ps", [("float", (0.55, 0.6, 0.95, 0.999)),
+                                           ("rational", (Fraction(7, 10),))])
+def test_variance_grid_reads_both_ladders_off_one_batch_per_p(arithmetic, ps, monkeypatch):
+    exact = arithmetic == "rational"
+    even, odd = ((4, 10, 0), (1, 7)) if exact else (VARIANCE_EVEN_N, VARIANCE_ODD_N)
     batches = []
     masses = bcdexact.exact.pmf_masses
     monkeypatch.setattr(bcdexact.exact, "pmf_masses",
                         lambda *args: batches.append(args[0]) or masses(*args))
-    rows = variance_grid(even_n=even, odd_n=odd, p_values=ps, mode=mode)
+    rows = variance_grid(even_n=even, odd_n=odd, p_values=ps)
     assert len(batches) == len(ps)
     assert sorted({n for n, _ in batches[0]}) == sorted(n for n in (*even, *odd) if n > 0)
     cells = [row for row in rows if row["n"] is not None]
     assert len(cells) == len(ps) * (len(even) + len(odd))
     for row in cells:
-        want = one_law_variance(row["n"], DesignParams(row["p"]), mode)
+        want = one_law_variance(row["n"], DesignParams(row["p"]))
         assert row["variance"] == float(want), row
-    found = var_dns([*even, *odd], DesignParams(ps[0]), mode)
-    assert found == [one_law_variance(n, DesignParams(ps[0]), mode) for n in (*even, *odd)]
+    found = var_dns([*even, *odd], DesignParams(ps[0]))
+    assert found == [one_law_variance(n, DesignParams(ps[0])) for n in (*even, *odd)]
     with pytest.raises(ValueError, match="n must be >= 0, got -2"):
-        var_dns([4, -2], DesignParams(ps[0]), mode)
+        var_dns([4, -2], DesignParams(ps[0]))
 
 
 def test_selection_bias_grid_renders_the_reference_digits():
@@ -148,19 +161,20 @@ def test_selection_bias_grid_renders_the_reference_digits():
         assert row["rounded"] == want, row
 
 
-@pytest.mark.parametrize("mode,ps", [("float", (0.6, 0.93)), ("rational", (Fraction(7, 10),))])
-def test_selection_bias_grid_reads_each_n_off_one_batch_per_p(mode, ps, monkeypatch):
-    ns = (5, 12, 1, 40) if mode == "rational" else (*GUESS_N_GRID, 3, 260)
+@pytest.mark.parametrize("arithmetic,ps", [("float", (0.6, 0.93)),
+                                           ("rational", (Fraction(7, 10),))])
+def test_selection_bias_grid_reads_each_n_off_one_batch_per_p(arithmetic, ps, monkeypatch):
+    ns = (5, 12, 1, 40) if arithmetic == "rational" else (*GUESS_N_GRID, 3, 260)
     batches = []
     masses = bcdexact.bias.pmf_masses
     monkeypatch.setattr(bcdexact.bias, "pmf_masses",
                         lambda *args: batches.append(args[0]) or masses(*args))
-    rows = selection_bias_grid(n_values=ns, p_values=ps, mode=mode)
+    rows = selection_bias_grid(n_values=ns, p_values=ps)
     assert [len(points) for points in batches] == [max(ns)] * len(ps)
     cells = [row for row in rows if row["n"] is not None]
     assert [(row["n"], row["p"]) for row in cells] == [(n, p) for n in ns for p in ps]
     for row in cells:
-        report = selection_bias_report(row["n"], DesignParams(row["p"]), mode)
+        report = selection_bias_report(row["n"], DesignParams(row["p"]))
         assert row["average_excess"] == float(report.average_excess), row
 
 
