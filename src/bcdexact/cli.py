@@ -396,6 +396,9 @@ def _cmd_accidental_bias(args) -> CommandOutput:
 def _cmd_ranktest(args) -> CommandOutput:
     _float_only(args)
     raw = _read_numbers(args.scores)
+    # midranks order +-inf like any other score; nan has no place in any order
+    if any(math.isnan(v) or (math.isinf(v) and not args.ranks) for v in raw):
+        raise ValueError(f"scores in {args.scores} must be {'numbers' if args.ranks else 'finite'}")
     scores = (
         ScoreVector.centered_ranks(raw) if args.ranks else ScoreVector.from_values(raw)
     )

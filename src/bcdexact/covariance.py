@@ -21,6 +21,11 @@ l = (u-|k|)/2 of the closed form of P(D_{u+|k|} = 0) in `exact`, so
 `first_visit` reads it from `exact._term`.  Its float overflow guard stays
 at 4u for u steps, not the 4(u+|k|) of D_{u+|k|}.
 
+`sigma` builds each row from the law of D_{i-1} and a table of cumulative
+first-return masses: in float64 for a float p, and on integer numerators
+for a Fraction p = A/B, where every mass, first-return mass and t_k has a
+power of B or 2B as its denominator, so each entry is one Fraction.
+
 sigma(n) always carries the vector v = (sqrt(2)/2, -sqrt(2)/2, 0, ..., 0)
 as an eigenvector with eigenvalue 2p; `verify_2p_eigenpair` measures the
 residual and `eigen_spectrum` computes the whole spectrum with round-robin
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -196,7 +202,7 @@ class AssignmentCovariance:
         return float(z @ a @ z)
 
 
-def _first_return_table(n: int, params: DesignParams, one: Number) -> np.ndarray:
+def _first_return_table(n: int, params: DesignParams) -> np.ndarray:
     """F[m, u] = fhat_m(u) for 0 <= m, u < n, as cumulative sums over steps.
 
     Each row of first-return masses comes from the ratio recurrence
@@ -207,10 +213,10 @@ def _first_return_table(n: int, params: DesignParams, one: Number) -> np.ndarray
     binomial is ever formed.  Row 0 is the degenerate visit, fhat_0 = 1.
     """
     p, q = params.p, params.q
-    f = np.full((n, n), 0 * one)  # object dtype for Fractions, else float64
-    f[0, 0] = one
+    f = np.zeros((n, n))
+    f[0, 0] = 1.0
     for m in range(1, n):
-        term = one * p**m
+        term = p**m
         for l in range(m, n, 2):
             f[m, l] = term
             a, b = (l + m) // 2, (l - m) // 2
@@ -219,17 +225,14 @@ def _first_return_table(n: int, params: DesignParams, one: Number) -> np.ndarray
 
 
 def _imbalance_laws(n: int, params: DesignParams):
-    """Signed laws {k: P(D_m = k)} for m = 0 .. n - 1.
+    """Signed laws {k: P(D_m = k)} for m = 0 .. n - 1, for a float p.
 
-    A float p reads every mass off one call of the closed-form ratio scan
-    over all (m, k), and fills each law k by k, +k before -k; a Fraction p
-    uses the exact pmf_dn.
+    Every mass comes off one call of the closed-form ratio scan over all
+    (m, k), and each law is filled k by k, +k before -k.
     """
-    if params.is_exact:
-        return [dict(pmf_dn(m, params).masses) for m in range(n)]
     lane_m = [m for k in range(n) for m in range(k, n, 2)]
     lane_k = [k for k in range(n) for _ in range(k, n, 2)]
-    laws: list[dict[int, Number]] = [{} for _ in range(n)]
+    laws: list[dict[int, float]] = [{} for _ in range(n)]
     for m, k, two_sided in zip(lane_m, lane_k, _two_sided_scan(lane_m, lane_k, params.p)):
         if k:
             laws[m][k] = laws[m][-k] = two_sided / 2
@@ -238,7 +241,7 @@ def _imbalance_laws(n: int, params: DesignParams):
     return laws
 
 
-def _row_weights(i: int, law: dict[int, Number], params: DesignParams, zero: Number):
+def _row_weights(i: int, law: dict[int, float], params: DesignParams):
     """Weights w(m) over m = |k + 1| and the constant c of Sigma row i.
 
     With P_k = P(D_{i-1} = k), the joint P(T_i = 1, T_j = 1) is
@@ -248,8 +251,8 @@ def _row_weights(i: int, law: dict[int, Number], params: DesignParams, zero: Num
 
     Only m of the parity of i (and m <= i) can carry weight.
     """
-    w = np.full(i + 1, zero)
-    c = zero
+    w = np.zeros(i + 1)
+    c = 0.0
     half = params.half
     for k, mass in law.items():
         t_k, t_up = transition_prob(params, k), transition_prob(params, k + 1)
@@ -258,25 +261,80 @@ def _row_weights(i: int, law: dict[int, Number], params: DesignParams, zero: Num
     return w, c
 
 
+def _exact_upper(n: int, params: DesignParams) -> np.ndarray:
+    """Sigma's unit diagonal and upper triangle in Fractions, for a Fraction p.
+
+    The rows of the float route, on integer numerators.  With p = A/B in
+    lowest terms and Q = B - A:
+      - N_k = P(D_{i-1} = k) (2B)^(i-1) is an integer (the laws of pmf_dn);
+      - G[m, u] = fhat_m(u) B^(n-1) is an integer: g_m(l) = f_m(l) B^l runs
+        the recurrence of _first_return_table as g_m(m) = A^m,
+        g_m(l + 2) = g_m(l) l (l + 1) A Q / ((a + 1)(b + 1)), which divides
+        exactly;
+      - T_k = 2B t_k is B, 2A or 2Q.
+    So row i has integer weights W(m) = sum_{|k+1| = m} N_k T_k (B - T_{k+1})
+    and constant C = sum_k N_k T_k T_{k+1}, and P(T_i = 1, T_j = 1) is
+    x / den with x = W . G[:, j - i - 1] + C B^(n-1) and
+    den = (2B)^(i+1) B^(n-1): one Fraction per entry.
+    """
+    big_a, big_b = params.p.numerator, params.p.denominator
+    big_q = big_b - big_a
+
+    def scaled_t(k: int) -> int:  # 2B t_k
+        return big_b if k == 0 else 2 * big_q if k > 0 else 2 * big_a
+
+    g = np.zeros((n, n), dtype=object)
+    g[0, 0] = 1
+    for m in range(1, n):
+        term = big_a**m
+        for l in range(m, n, 2):
+            g[m, l] = term
+            a, b = (l + m) // 2, (l - m) // 2
+            term = term * (l * (l + 1)) * big_a * big_q // ((a + 1) * (b + 1))
+    top = big_b ** (n - 1)
+    scale = np.array([big_b ** (n - 1 - l) for l in range(n)], dtype=object)
+    table = np.cumsum(g * scale, axis=1)
+
+    out = np.full((n, n), Fraction(1))
+    for i in range(1, n):
+        law_scale = (2 * big_b) ** (i - 1)
+        w = np.zeros(i + 1, dtype=object)
+        c = 0
+        for k, mass in pmf_dn(i - 1, params).masses.items():
+            num = law_scale // mass.denominator * mass.numerator  # N_k
+            t_k, t_up = scaled_t(k), scaled_t(k + 1)
+            w[abs(k + 1)] += num * t_k * (big_b - t_up)
+            c += num * t_k * t_up
+        m = slice(i % 2, i + 1, 2)
+        den = (2 * big_b) ** (i + 1) * top
+        x = w[m] @ table[m, : n - i] + c * top
+        out[i - 1, i:] = [Fraction(4 * v - den, den) for v in x]
+    return out
+
+
 def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
     """Covariance matrix of the first n assignments, sigma_ij = 4 P_ij - 1.
 
     Row i above the diagonal is one vector-matrix product over the
     cumulative first-return table: sigma_{i, i+1+u} = 4 (w_i . F[:, u] +
-    c_i) - 1 for u = 0 .. n - i - 1.  The lower triangle mirrors the upper
+    c_i) - 1 for u = 0 .. n - i - 1.  A float p builds it in float64; a
+    Fraction p builds the same rows on integer numerators (`_exact_upper`)
+    and makes one Fraction per entry.  The lower triangle mirrors the upper
     one, so the matrix is exactly symmetric with an exact unit diagonal.
     joint_assignment computes the same entries one at a time and is kept
     as the cross-check.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    mode = NumericMode.of(params)
-    table = _first_return_table(n, params, mode.one)
-    out = np.full((n, n), mode.one)
-    for i, law in enumerate(_imbalance_laws(n - 1, params), start=1):
-        w, c = _row_weights(i, law, params, mode.zero)
-        m = slice(i % 2, i + 1, 2)
-        out[i - 1, i:] = 4 * (w[m] @ table[m, : n - i] + c) - 1
+    if params.is_exact:
+        out = _exact_upper(n, params)
+    else:
+        table = _first_return_table(n, params)
+        out = np.ones((n, n))
+        for i, law in enumerate(_imbalance_laws(n - 1, params), start=1):
+            w, c = _row_weights(i, law, params)
+            m = slice(i % 2, i + 1, 2)
+            out[i - 1, i:] = 4 * (w[m] @ table[m, : n - i] + c) - 1
     upper = np.triu_indices(n, 1)
     out[upper[::-1]] = out[upper]
     return AssignmentCovariance(n=n, params=params, matrix=out)

@@ -13,12 +13,13 @@ and, for even n,
     P(D_n = 0) = p^(n/2)
                  * sum_{l=0}^{n/2 - 1} (n-2l)/(n+2l) * C(n/2 + l, l) * q^l.
 
-Each summand is evaluated exactly over Fractions when p is a Fraction, and
-in float64 when p is a float, through the guarded product kernel in
+A Fraction p = A/B sums each mass in integers (every summand times a
+power of B is an integer) and makes one Fraction per mass.  A float p
+evaluates each summand in float64 through the guarded product kernel in
 `stable`, which replays the kernel on all the summands a call needs at
-once.  A forward recurrence on
-the same law (`dp_pmf_dn`) is kept as an independent cross-check route and
-is never substituted for the closed form.
+once.  A forward recurrence on the same law (`dp_pmf_dn`) is kept as an
+independent cross-check route, on Fractions, and is never substituted for
+the closed form.
 
 The absolute imbalance |D_n| is an ergodic birth-death chain whose
 stationary law pi has the geometric form pi_0 = (r-1)/(2r),
@@ -119,21 +120,29 @@ def _term(n: int, k: int, l: int, params: DesignParams, steps: int) -> Number:
 
 
 def _exact_mass(n: int, k: int, count: int, params: DesignParams) -> Fraction:
-    """P(D_n = k), k >= 0, from its summands l < count over Fractions.
+    """P(D_n = k), k >= 0, from its summands l < count, on integer numerators.
 
-    Every summand of a point carries p^((n-k)/2), and for k > 0 also 1/2
-    and q^(k-1): they multiply the sum once, and q^l is carried from one
-    summand to the next.  The value is exactly the sum of `_term`.
+    With a = (n + k)/2, the ratio times binomial (a - l)/(a + l) C(a + l, l)
+    of summand l is an integer (a ballot number).  So with p = A/B in
+    lowest terms and q = Q/B, the sum over l < count times B^count is the
+    integer Horner sum acc = (acc + ballot_l Q^l) B, and the mass is
+
+        A^((n-k)/2) Q^(k-1) acc / (2 B^((n-k)/2 + k - 1 + count))   (k > 0)
+        A^(n/2) acc / B^(n/2 + count)                              (k = 0),
+
+    one Fraction, equal to the sum of `_term`.
     """
-    p, q = params.p, params.q
+    big_a, big_b = params.p.numerator, params.p.denominator
+    big_q = big_b - big_a
     a = (n + k) // 2
-    total, q_power = Fraction(0), Fraction(1)
+    acc, q_power = 0, 1
     for l in range(count):
-        total += Fraction(n + k - 2 * l, n + k + 2 * l) * math.comb(a + l, l) * q_power
-        q_power *= q
+        acc = (acc + (a - l) * math.comb(a + l, l) // (a + l) * q_power) * big_b
+        q_power *= big_q
+    e = (n - k) // 2
     if k > 0:
-        return Fraction(1, 2) * p ** ((n - k) // 2) * q ** (k - 1) * total
-    return p ** (n // 2) * total
+        return Fraction(big_a**e * big_q ** (k - 1) * acc, 2 * big_b ** (e + k - 1 + count))
+    return Fraction(big_a**e * acc, big_b ** (e + count))
 
 
 def pmf_at(n: int, k: int, params: DesignParams) -> Number:
@@ -144,7 +153,7 @@ def pmf_at(n: int, k: int, params: DesignParams) -> Number:
 def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[Number]:
     """P(D_n = k) for each (n, k) of points, in order, from the closed form.
 
-    A Fraction p sums each point exactly (`_exact_mass`).  A float call
+    A Fraction p sums each point in integers (`_exact_mass`).  A float call
     with fewer than SCALAR_LANES summands evaluates them one by one
     through the per-term kernel (`_term`), which costs less there than the
     replay's per-step numpy calls.  A larger float call replays the guarded kernel on the

@@ -516,6 +516,36 @@ def test_ranktest_reps_without_an_observed_run_is_an_error(tmp_path, capsys):
     assert "observed" in err
 
 
+@pytest.mark.parametrize(
+    "values,flags",
+    [
+        ([1, "inf", 3], ()),
+        ([1, "nan", 3], ()),
+        (["-inf", 2, 3], ("--seed", "1")),
+        ([1, "nan", 3], ("--ranks",)),
+    ],
+)
+def test_ranktest_refuses_non_finite_scores(tmp_path, capsys, values, flags):
+    scores = tmp_path / "scores.txt"
+    write_values(scores, values)
+    code, out, err = run_cli(capsys, "ranktest", "--scores", str(scores), "--p", "0.7", *flags)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scores in ") and str(scores) in err.splitlines()[0]
+
+
+def test_ranktest_ranks_infinite_scores_like_any_other(tmp_path, capsys):
+    outputs = []
+    for name, top in [("inf.txt", "inf"), ("large.txt", "1e300")]:
+        scores = tmp_path / name
+        write_values(scores, [1, top, 3, -2])
+        code, out, _ = run_cli(
+            capsys, "ranktest", "--scores", str(scores), "--ranks", "--p", "0.7", "--seed", "4"
+        )
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 def test_mismatched_score_count_is_an_error(tmp_path, capsys):
     scores = tmp_path / "scores.txt"
     write_values(scores, [1.0, -1.0, 0.0])

@@ -214,6 +214,17 @@ def test_rational_rows_equal_the_per_entry_route_and_enumeration(p):
         assert cov.entry(i, j) == bf.sigma_entry(i, j, p), (i, j)
 
 
+@pytest.mark.parametrize("p", [Fraction(713, 1000), Fraction(1, 2), Fraction(99, 100), Fraction(1)])
+def test_rational_sigma_equals_the_per_entry_route_at_n_32(p):
+    n = 32
+    params = DesignParams(p)
+    cov = sigma(n, params)
+    assert all(type(x) is Fraction for x in cov.matrix.flat)
+    assert all(cov.entry(i, i) == 1 for i in range(1, n + 1))
+    for (i, j), want in _per_entry_sigma(n, params).items():
+        assert cov.entry(i, j) == want == cov.entry(j, i), (i, j)
+
+
 @pytest.mark.parametrize("p", [0.5, 0.55, 0.95, 1.0])
 def test_row_sources_hold_at_the_float_size_cap(p):
     """The closed-form scan and the first-return recurrence stay accurate at
@@ -226,7 +237,7 @@ def test_row_sources_hold_at_the_float_size_cap(p):
             want = oracle.two_sided(k)
             if want >= 1e-290:
                 assert abs(got - want) <= 1e-12 * want, (m, k)
-    table = _first_return_table(FLOAT_SIGMA_N_CAP, params, 1.0)
+    table = _first_return_table(FLOAT_SIGMA_N_CAP, params)
     visits = FirstVisitTable(params)
     top = FLOAT_SIGMA_N_CAP - 1
     for m, u in [(1, 0), (1, 1), (1, 2), (2, 40), (7, 99), (30, top), (128, top), (top, top)]:

@@ -16,16 +16,19 @@ import pytest
 
 import bcdexact.exact
 import bruteforce as bf
+from bcdexact.cli import RATIONAL_N_CAP
 from bcdexact.design import DesignParams
 from bcdexact.exact import (
     SCAN_N_MAX,
     StationaryDist,
+    _dp_rows,
     _scaled_power,
     _two_sided_scan,
     asymptotic_var,
     dp_pmf_dn,
     pmf_at,
     pmf_dn,
+    pmf_masses,
     steady_state_threshold,
     steady_state_threshold_table,
     var_dn,
@@ -109,6 +112,20 @@ def test_three_routes_agree_exactly_in_rational_mode(n, p):
         if (n - k) % 2:
             continue
         assert closed.mass(k) == recurrence.mass(k) == walk.get(k, Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(1, 2), Fraction(513, 1000), Fraction(2, 3), Fraction(949, 1000), Fraction(1)]
+)
+def test_exact_masses_equal_the_recurrence_up_to_the_rational_cap(p):
+    # at p = 1 the masses with k > 1 have no summand (q = 0), so they take
+    # the count = 0 edge of the closed form
+    params = DesignParams(p)
+    for n, row in enumerate(_dp_rows(RATIONAL_N_CAP, params)):
+        ks = range(n % 2, n + 1, 2)
+        masses = pmf_masses([(n, k) for k in ks], params)
+        assert all(type(mass) is Fraction for mass in masses), n
+        assert masses == [row[k] for k in ks], n
 
 
 @pytest.mark.parametrize("n", [1, 4, 7, 25, 60])
