@@ -34,7 +34,6 @@ import numpy as np
 from .covariance import AssignmentCovariance
 from .design import DesignParams, Number
 from .exact import pmf_at, pmf_masses
-from .stable import NumericMode
 
 __all__ = [
     "SelectionBiasReport",
@@ -74,7 +73,7 @@ class SelectionBiasReport:
 
     @property
     def total(self) -> Number:
-        return NumericMode.of(self.params).sum(self.per_step)
+        return self.params.sum(self.per_step)
 
     @property
     def excess(self) -> Number:
@@ -110,11 +109,10 @@ def total_bias_closed_form(n: int, params: DesignParams) -> Number:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    mode = NumericMode.of(params)
     p, q = params.p, params.q
-    half, one = mode.half, mode.one
+    half, one = params.half, params.one
 
-    correction = mode.zero
+    correction = params.zero
     p_power = one
     for m in range(1, (n - 1) // 2 + 1):
         p_power = p_power * p
@@ -124,18 +122,17 @@ def total_bias_closed_form(n: int, params: DesignParams) -> Number:
         for l in range(1, m):
             binom = binom * (m + l) / l
             q_power = q_power * q
-            inner += mode.cast(m - l) / (m + l) * binom * q_power
+            inner += one * (m - l) / (m + l) * binom * q_power
         correction = correction + p_power * inner
     return half + (n - 1) * p - (p - half) * correction
 
 
 def asymptotic_excess(params: DesignParams) -> Number:
     """Limit of excess/n: (r - 1)/(4r), degenerating to 1/4 at p = 1."""
-    half = params.half
     if params.is_deterministic:
-        return half / 2
+        return params.half / 2
     if params.is_fair:
-        return 0 * half
+        return params.zero
     r = params.r
     return (r - 1) / (4 * r)
 

@@ -196,7 +196,10 @@ def _read_numbers(path: str) -> list[float]:
     pieces = text.replace(",", " ").split()
     if not pieces:
         raise ValueError(f"no values in {path}")
-    return [float(piece) for piece in pieces]
+    try:
+        return [float(piece) for piece in pieces]
+    except ValueError as err:
+        raise ValueError(f"values in {path} must be numbers ({err})") from err
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +418,13 @@ def _cmd_ranktest(args) -> CommandOutput:
 
     assignments = None
     if args.assignments is not None:
+        numbers = _read_numbers(args.assignments)
         try:
-            raw_t = [int(v) for v in _read_numbers(args.assignments)]
-        except OverflowError as err:
+            raw_t = [int(v) for v in numbers]
+        except (OverflowError, ValueError) as err:  # inf, nan
             raise ValueError(f"assignments in {args.assignments} must be finite") from err
+        if any(t not in (1, -1) for t in raw_t):  # before an int8 array, which 300 overflows
+            raise ValueError(f"assignments in {args.assignments} must be +1 or -1")
         assignments = TreatmentSequence(np.array(raw_t, dtype=np.int8), params)
         inputs.append(("assignments", args.assignments))
     elif args.seed is not None:

@@ -44,7 +44,6 @@ import numpy as np
 
 from .design import DesignParams, Number, transition_prob
 from .exact import _term, _two_sided_scan, pmf_dn
-from .stable import NumericMode
 
 __all__ = [
     "AssignmentCovariance",
@@ -71,17 +70,16 @@ def first_visit(k: int, steps: int, params: DesignParams) -> Number:
     k = 0 is the degenerate visit: 1 at steps = 0, else 0.  Off-parity or
     too-short step counts have probability 0.
     """
-    mode = NumericMode.of(params)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     k = abs(k)
     if k == 0:
-        return mode.one if steps == 0 else mode.zero
+        return params.one if steps == 0 else params.zero
     if steps < k or (steps - k) % 2:
-        return mode.zero
+        return params.zero
     if params.q == 0 and steps > k:
-        return mode.zero
-    return mode.sum([_term(steps + k, 0, (steps - k) // 2, params, steps)])
+        return params.zero
+    return params.sum([_term(steps + k, 0, (steps - k) // 2, params, steps)])
 
 
 class FirstVisitTable:
@@ -95,7 +93,6 @@ class FirstVisitTable:
 
     def __init__(self, params: DesignParams):
         self.params = params
-        self._mode = NumericMode.of(params)
         self._rows: dict[int, list[Number]] = {}
 
     def f_hat(self, k: int, horizon: int) -> Number:
@@ -103,8 +100,8 @@ class FirstVisitTable:
             raise ValueError("horizon must be >= 0")
         k = abs(k)
         if k == 0:
-            return self._mode.one
-        row = self._rows.setdefault(k, [self._mode.zero])  # fhat_k(0) = 0
+            return self.params.one
+        row = self._rows.setdefault(k, [self.params.zero])  # fhat_k(0) = 0
         while len(row) <= horizon:
             u = len(row)
             row.append(row[-1] + first_visit(k, u, self.params))
@@ -130,7 +127,7 @@ def cond_assignment(
     if not 1 <= n < m:
         raise ValueError(f"need 1 <= n < m, got n={n}, m={m}")
     if abs(k) > n or (n - k) % 2:
-        return NumericMode.of(params).zero
+        return params.zero
     if table is None:
         table = FirstVisitTable(params)
     t_k = transition_prob(params, k)
@@ -167,7 +164,7 @@ def joint_assignment(
             continue
         t_k = transition_prob(params, k)
         terms.append(cond_assignment(m, n, k + 1, params, table) * mass * t_k)
-    return NumericMode.of(params).sum(terms)
+    return params.sum(terms)
 
 
 @dataclass(frozen=True)

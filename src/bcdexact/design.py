@@ -20,6 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
+from typing import Iterable
+
+from .stable import TermValue, sum_term_values
 
 Number = float | Fraction
 
@@ -29,8 +32,8 @@ class DesignParams:
     """Biased-coin parameter p with derived quantities q = 1 - p, r = p/q.
 
     p may be a float or a Fraction, and the evaluators compute in its
-    arithmetic: a Fraction (or int) p keeps every quantity exact, a float p
-    computes in guarded float64.
+    arithmetic (`zero`, `one`, `half`, `sum`): a Fraction (or int) p keeps
+    every quantity exact, a float p computes in guarded float64.
     """
 
     p: Number
@@ -57,10 +60,23 @@ class DesignParams:
             return math.inf
         return self.p / q
 
-    @property
+    @cached_property
+    def zero(self) -> Number:
+        return Fraction(0) if self.is_exact else 0.0
+
+    @cached_property
+    def one(self) -> Number:
+        return Fraction(1) if self.is_exact else 1.0
+
+    @cached_property  # read per term by transition_prob
     def half(self) -> Number:
-        """One half, in the same arithmetic as p (p / 2p is exactly 1/2)."""
-        return self.p / (2 * self.p)
+        return Fraction(1, 2) if self.is_exact else 0.5
+
+    def sum(self, values: Iterable[Number | TermValue]) -> Number:
+        """Exact from Fraction(0) for an exact p, else `stable.sum_term_values`."""
+        if self.is_exact:
+            return sum(values, start=Fraction(0))
+        return sum_term_values(values)
 
     @property
     def is_exact(self) -> bool:

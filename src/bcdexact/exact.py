@@ -43,7 +43,7 @@ import numpy as np
 
 from . import stable
 from .design import DesignParams, Number
-from .stable import NumericMode, replay_term_products, stable_term_product
+from .stable import replay_term_products, stable_term_product
 
 __all__ = [
     "ImbalancePMF",
@@ -162,7 +162,6 @@ def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[
     points it asks for.  Every float mass is the same float the kernel
     gives summand by summand in the window M = 4n.
     """
-    mode = NumericMode.of(params)
     masses: list = []
     wanted = []  # (index, n, k, last summand l)
     for n, k in points:
@@ -170,9 +169,9 @@ def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[
             raise ValueError(f"n must be >= 0, got {n}")
         k = abs(k)
         if k > n or (n - k) % 2:
-            masses.append(mode.zero)
+            masses.append(params.zero)
         elif n == 0:
-            masses.append(mode.one)
+            masses.append(params.one)
         else:
             upper = (n - k) // 2 if k > 0 else n // 2 - 1
             wanted.append((len(masses), n, k, upper))
@@ -191,7 +190,7 @@ def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[
         return masses
     if sum(counts) < SCALAR_LANES:
         for i, nj, kj, count in zip(index, n, k, counts):
-            masses[i] = mode.sum(_term(nj, kj, l, params, nj) for l in range(count))
+            masses[i] = stable.sum_term_values(_term(nj, kj, l, params, nj) for l in range(count))
         return masses
     # whole points, in the fewest chunks of at most LANE_BATCH summands,
     # each filled up to about an equal share of the call's summands
@@ -248,8 +247,7 @@ class ImbalancePMF:
     masses: Mapping[int, Number]
 
     def mass(self, k: int) -> Number:
-        # masses[n] is always present and carries the arithmetic of the law
-        return self.masses.get(k, 0 * self.masses[self.n])
+        return self.masses.get(k, self.params.zero)
 
     def two_sided(self, k: int) -> Number:
         """P(|D_n| = |k|)."""
@@ -288,10 +286,9 @@ def _dp_rows(n: int, params: DesignParams) -> Iterable[list[Number]]:
     mass at 2, interior k gets q * mass(k-1) + p * mass(k+1), and the
     extreme k = j+1 is reached only from j with probability q.
     """
-    mode = NumericMode.of(params)
     p, q = params.p, params.q
-    half, zero = mode.half, mode.zero
-    row: list[Number] = [mode.one]
+    half, zero = params.half, params.zero
+    row: list[Number] = [params.one]
     yield row
     for j in range(n):
         prev = row + [zero, zero]  # pad so prev[k+1] is always valid
@@ -335,8 +332,7 @@ def var_dns(ns: Sequence[int], params: DesignParams) -> list[Number]:
         raise ValueError(f"n must be >= 0, got {min(ns)}")
     ks = [range(1 if n % 2 else 2, n + 1, 2) for n in ns]
     masses = iter(pmf_masses([(n, k) for n, row in zip(ns, ks) for k in row], params))
-    mode = NumericMode.of(params)
-    return [mode.sum(k * k * 2 * next(masses) for k in row) for row in ks]
+    return [params.sum(k * k * 2 * next(masses) for k in row) for row in ks]
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +363,7 @@ class StationaryDist:
             raise ValueError("state index must be >= 0")
         params = self.params
         if params.is_deterministic:
-            half = params.half
-            return half if j in (0, 1) else 0 * half
+            return params.half if j in (0, 1) else params.zero
         r = params.r
         if j == 0:
             return (r - 1) / (2 * r)
@@ -390,8 +385,7 @@ def asymptotic_var(params: DesignParams, parity: str) -> Number:
     if params.is_fair:
         raise ValueError("Var(D_n) diverges at p = 1/2; no finite limit")
     if params.is_deterministic:
-        one = params.p / params.p
-        return 0 * one if parity == "even" else one
+        return params.zero if parity == "even" else params.one
     r = params.r
     denom = (r * r - 1) ** 2
     if parity == "even":

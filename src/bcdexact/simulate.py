@@ -237,17 +237,19 @@ def enumerate_exact(
 ) -> Number:
     """E[statistic] by summing all 2^n paths with their exact weights.
 
-    Exponential on purpose; n is capped at ENUMERATION_CAP.  In rational
-    mode with rational p (and an int/Fraction-valued statistic) the result
-    is exact.
+    Exponential on purpose; n is capped at ENUMERATION_CAP.  Rational mode
+    refuses a float p and, with an int/Fraction-valued statistic, is exact;
+    float mode rounds p and q each to float64.
     """
     mode = NumericMode.coerce(mode)
     if not 1 <= n <= ENUMERATION_CAP:
         raise ValueError(f"enumeration needs 1 <= n <= {ENUMERATION_CAP}, got {n}")
     stat = _coerce_statistic(statistic)
-    params = mode.design(params)
-    p, q, half = mode.cast(params.p), mode.cast(params.q), mode.half
-    total = mode.zero
+    if mode.is_exact:
+        params = params.as_exact()  # refuses a float p
+    cast = Fraction if mode.is_exact else float
+    p, q, half = cast(params.p), cast(params.q), cast(Fraction(1, 2))
+    total = cast(0)
 
     t_path = [0] * n
     d_path = [0] * n
@@ -265,7 +267,7 @@ def enumerate_exact(
             d_path[depth] = d + t
             walk(depth + 1, d + t, weight * w)
 
-    walk(0, 0, mode.one)
+    walk(0, 0, cast(1))
     return total
 
 

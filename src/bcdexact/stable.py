@@ -26,20 +26,17 @@ downstream sums rescale these instead of collapsing them to 0.0.
 one numpy lane per term, in batches of lanes sorted by their multiply
 count, each step running only on the lanes not yet finished.  It is the
 route the closed forms take for a float p; `stable_term_product` is its
-per-term reference and its fallback.
+per-term reference and its fallback.  `sum_term_values`, which adds
+such terms, is the float `DesignParams.sum`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:
-    from .design import DesignParams
 
 UNDERFLOW_GUARD = 1e-300
 LANE_BATCH = 4096  # lanes replayed together; bounds the replay's working set to about 1 MB
@@ -50,54 +47,16 @@ RATIONAL_KIND = "exact-rational"
 
 @dataclass(frozen=True)
 class NumericMode:
-    """Evaluation backend: guarded float64 or exact rational arithmetic.
-
-    The mode carries the arithmetic of its kind (constants, casts,
-    summation), so evaluators write one body for both.  The evaluators
-    take it from p (`of`): a Fraction p computes exactly, a float p in
-    float64.
+    """Arithmetic of the 2^n oracle `simulate.enumerate_exact`, guarded
+    float64 or exact rational; every other evaluator computes in the
+    arithmetic of p, which `DesignParams` carries.
     """
 
     kind: str = FLOAT_KIND
 
-    def __post_init__(self):
-        if self.kind not in (FLOAT_KIND, RATIONAL_KIND):
-            raise ValueError(f"unknown numeric mode {self.kind!r}")
-
     @property
     def is_exact(self) -> bool:
         return self.kind == RATIONAL_KIND
-
-    def cast(self, x) -> Fraction | float:
-        """x as a Fraction in rational mode, a float in float mode."""
-        return Fraction(x) if self.is_exact else float(x)
-
-    @property
-    def zero(self) -> Fraction | float:
-        return self.cast(0)
-
-    @property
-    def one(self) -> Fraction | float:
-        return self.cast(1)
-
-    @property
-    def half(self) -> Fraction | float:
-        return self.cast(Fraction(1, 2))
-
-    def sum(self, values: Iterable) -> Fraction | float:
-        """Exact sum from Fraction(0) in rational mode; in float mode
-        `sum_term_values`, an fsum that rescales any banked products."""
-        return sum(values, start=Fraction(0)) if self.is_exact else sum_term_values(values)
-
-    def design(self, params: "DesignParams") -> "DesignParams":
-        """The params to compute with: exact ones in rational mode, which
-        refuses a float p, and the caller's own in float mode."""
-        return params.as_exact() if self.is_exact else params
-
-    @staticmethod
-    def of(params: "DesignParams") -> "NumericMode":
-        """The arithmetic of p: exact for a Fraction (or int), else float64."""
-        return EXACT_RATIONAL if params.is_exact else FLOAT64_STABLE
 
     @classmethod
     def coerce(cls, mode) -> "NumericMode":

@@ -8,6 +8,7 @@ import pytest
 
 from bcdexact import tables
 from bcdexact.bias import (
+    asymptotic_excess,
     selection_bias_report,
     selection_bias_reports,
     selection_bias_step,
@@ -21,8 +22,17 @@ from bcdexact.covariance import (
     sigma,
 )
 from bcdexact.design import DesignParams
-from bcdexact.exact import dp_pmf_dn, pmf_at, pmf_dn, pmf_masses, var_dn, var_dns
-from bcdexact.stable import EXACT_RATIONAL, FLOAT64_STABLE, NumericMode
+from bcdexact.exact import (
+    ImbalancePMF,
+    StationaryDist,
+    asymptotic_var,
+    dp_pmf_dn,
+    pmf_at,
+    pmf_dn,
+    pmf_masses,
+    var_dn,
+    var_dns,
+)
 
 
 def _report_values(report):
@@ -44,6 +54,7 @@ EVALUATORS = [
     (pmf_masses, lambda params: pmf_masses([(7, 1), (6, 0), (0, 0), (5, 5)], params)),
     (pmf_dn, lambda params: list(pmf_dn(7, params).masses.values())),
     (dp_pmf_dn, lambda params: list(dp_pmf_dn(8, params).masses.values())),
+    (ImbalancePMF.mass, lambda params: [pmf_dn(7, params).mass(2), dp_pmf_dn(6, params).mass(9)]),
     (var_dn, lambda params: [var_dn(9, params)]),
     (var_dns, lambda params: var_dns([4, 7, 0], params)),
     (first_visit, lambda params: [first_visit(k, 7, params) for k in (0, 1, 3, 4)]),
@@ -56,6 +67,11 @@ EVALUATORS = [
     (selection_bias_reports,
      lambda params: [v for r in selection_bias_reports([3, 6], params) for v in _report_values(r)]),
     (total_bias_closed_form, lambda params: [total_bias_closed_form(9, params)]),
+    (asymptotic_excess, lambda params: [asymptotic_excess(params)]),
+    (StationaryDist,
+     lambda params: [v for j in range(4) for v in (StationaryDist(params).pi(j),
+                                                    StationaryDist(params).two_sided_limit(j))]),
+    (asymptotic_var, lambda params: [asymptotic_var(params, parity) for parity in ("even", "odd")]),
     (tables.variance_grid,
      lambda params: sum(_grid_reads("var_dns", tables.variance_grid, params,
                                     even_n=(4,), odd_n=(3,)), [])),
@@ -78,8 +94,15 @@ def test_the_arithmetic_follows_p(evaluator, call, p):
     assert approx == [pytest.approx(float(v), rel=1e-12, abs=1e-12) for v in exact]
 
 
-def test_numeric_mode_of_reads_the_type_of_p():
-    assert NumericMode.of(DesignParams(Fraction(7, 10))) is EXACT_RATIONAL
-    assert NumericMode.of(DesignParams(1)) is EXACT_RATIONAL
-    assert NumericMode.of(DesignParams(0.7)) is FLOAT64_STABLE
-    assert NumericMode.of(DesignParams(1.0)) is FLOAT64_STABLE
+def test_fair_coin_excess_is_zero_in_the_arithmetic_of_p():
+    exact, approx = (asymptotic_excess(DesignParams(p)) for p in (Fraction(1, 2), 0.5))
+    assert (exact, type(exact)) == (0, Fraction)
+    assert (approx, type(approx)) == (0, float)
+
+
+def test_params_carry_the_arithmetic_of_p():
+    for p, kind in [(Fraction(7, 10), Fraction), (1, Fraction), (0.7, float), (1.0, float)]:
+        params = DesignParams(p)
+        found = [params.zero, params.one, params.half, params.sum([params.half, params.p, 1])]
+        assert [type(v) for v in found] == [kind] * 4, p
+        assert found == [0, 1, Fraction(1, 2), Fraction(3, 2) + params.p], p

@@ -462,15 +462,26 @@ def test_usage_errors_exit_with_code_two(capsys, argv):
          "--assignments", "{files}/inf.txt"],
         ["table2", "--places", "1075"],
         ["table3", "--places", "-1"],
+        ["ranktest", "--scores", "{files}/scores.txt", "--p", "0.7",
+         "--assignments", "{files}/nan.txt"],
+        ["ranktest", "--scores", "{files}/abc.txt", "--p", "0.7"],
+        ["ranktest", "--scores", "{files}/scores.txt", "--p", "0.7",
+         "--assignments", "{files}/abc.txt"],
+        ["ranktest", "--scores", "{files}/scores.txt", "--p", "0.7",
+         "--assignments", "{files}/300.txt"],
     ],
 )
 def test_numbers_out_of_range_are_refused_by_name(tmp_path, capsys, argv):
     write_values(tmp_path / "scores.txt", [1, 2, 3])
     write_values(tmp_path / "inf.txt", [1, -1, "inf"])
+    write_values(tmp_path / "nan.txt", [1, -1, "nan"])
+    write_values(tmp_path / "abc.txt", [1, "abc", 3])
+    write_values(tmp_path / "300.txt", [1, -1, 300])
     code, out, err = run_cli(capsys, *(arg.replace("{files}", str(tmp_path)) for arg in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "Traceback" not in err
-    assert any(name in err for name in ("'1e400'", "inf.txt", "places")), err
+    names = ("'1e400'", "inf.txt", "places", "nan.txt", "abc.txt", "300.txt")
+    assert any(name in err for name in names), err
 
 
 def test_places_beyond_the_default_context_are_answered(capsys):

@@ -1,18 +1,44 @@
-"""Every name a module exports resolves, so a deleted helper cannot stay exported."""
+"""Every name a module exports resolves, so a deleted helper cannot stay
+exported, and every name the benchmark harness imports resolves, so a
+deleted helper it needs fails here and not only in a benchmark run."""
 
+import ast
 import importlib
 import pkgutil
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import bcdexact
+from bcdexact.design import DesignParams
+from bcdexact.simulate import enumerate_exact, stat_balance
 
 MODULES = ["bcdexact"] + [
     f"bcdexact.{info.name}" for info in pkgutil.iter_modules(bcdexact.__path__)
 ]
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_names_the_benchmark_imports_resolve():
+    found = []  # (file, module, name) of each `from bcdexact... import name` under bench/
+    for path in sorted(BENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bcdexact":
+                found += [(path.name, node.module, alias.name) for alias in node.names]
+    assert ("tracing.py", "bcdexact.stable", "NumericMode") in found
+    missing = [(path, module, name) for path, module, name in found
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
+
+
+def test_the_benchmark_oracle_call_stays_exact():
+    # bench/checks.py passes the mode positionally, by name
+    value = enumerate_exact(3, DesignParams(Fraction(7, 10)), stat_balance(), "rational")
+    assert type(value) is Fraction

@@ -98,6 +98,18 @@ def test_float_enumeration_tracks_the_exact_route():
     )
 
 
+def test_float_enumeration_of_a_fraction_p_rounds_p_and_q_each():
+    # float(1 - float(p)) is not float(q) here, so rebuilding the params
+    # from float(p) gives -0.001353074410647275
+    value = enumerate_exact(11, DesignParams(Fraction(501, 997)), stat_product(2, 9))
+    assert (type(value), value) == (float, -0.0013530744106472637)
+
+
+def test_rational_enumeration_refuses_a_float_p():
+    with pytest.raises(ValueError):
+        enumerate_exact(3, DesignParams(0.7), stat_balance(), "rational")
+
+
 def test_enumeration_cap_is_enforced():
     with pytest.raises(ValueError):
         enumerate_exact(ENUMERATION_CAP + 1, P23, stat_balance())

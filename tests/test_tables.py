@@ -10,7 +10,6 @@ import bcdexact.exact
 from bcdexact.bias import selection_bias_report
 from bcdexact.design import DesignParams
 from bcdexact.exact import pmf_masses, var_dns
-from bcdexact.stable import NumericMode
 from bcdexact.tables import (
     DEFAULT_P_GRID,
     GUESS_N_GRID,
@@ -126,7 +125,7 @@ def one_law_variance(n, params):
     """Var(D_n) from a pmf_masses call over the law of D_n alone (the oracle)."""
     ks = range(1 if n % 2 else 2, n + 1, 2)
     masses = pmf_masses([(n, k) for k in ks], params)
-    return NumericMode.of(params).sum(k * k * 2 * v for k, v in zip(ks, masses))
+    return params.sum(k * k * 2 * v for k, v in zip(ks, masses))
 
 
 # the arithmetic label only names what the type of p selects
