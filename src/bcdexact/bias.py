@@ -148,6 +148,6 @@ def accidental_bias(z: np.ndarray, cov: AssignmentCovariance) -> float:
     if z.ndim != 1 or z.shape[0] != cov.n:
         raise ValueError(f"z must be a vector of length {cov.n}")
     norm = float(np.linalg.norm(z))
-    if abs(norm - 1.0) > 1e-10:
+    if not abs(norm - 1.0) <= 1e-10:  # nan fails this too
         raise ValueError(f"z must be unit length, got ||z|| = {norm!r}")
     return cov.quadratic_form(z)

@@ -12,6 +12,7 @@ iterative solver failed to converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -640,9 +641,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reads every argv with, built once per process.
+
+    Parsing leaves a parser as it was, and each handler looks its callees
+    up when it runs, so a shared parser answers as a fresh one does.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         output = args.handler(args)
     except ConvergenceError as exc:

@@ -367,7 +367,14 @@ class StationaryDist:
         r = params.r
         if j == 0:
             return (r - 1) / (2 * r)
-        return (r * r - 1) / (2 * r ** (j + 1))
+        try:
+            scale = r ** (j + 1)
+        except OverflowError:  # only a float r overflows
+            raise ValueError(
+                f"pi({j}) at p = {params.p} needs r = p/q to the power "
+                f"{j + 1}, which overflows a float"
+            ) from None
+        return (r * r - 1) / (2 * scale)
 
     def two_sided_limit(self, k: int) -> Number:
         """lim P(|D_n| = k) along n of k's parity, i.e. 2 pi_k."""

@@ -4,6 +4,7 @@ Rational expectations were frozen from the path oracle in
 tests/bruteforce.py.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -157,3 +158,5 @@ def test_accidental_bias_rejects_bad_covariates():
         accidental_bias(np.ones(4), cov)  # not unit length
     with pytest.raises(ValueError):
         accidental_bias(np.array([1.0, 0.0, 0.0]), cov)  # wrong length
+    with pytest.raises(ValueError, match="unit length"):
+        accidental_bias(np.array([math.nan, 0.0, 0.0, 0.0]), cov)  # no norm at all

@@ -484,6 +484,40 @@ def test_numbers_out_of_range_are_refused_by_name(tmp_path, capsys, argv):
     assert any(name in err for name in names), err
 
 
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["stationary", "--p", "0.99", "--max-k", "154"], "pi(154) at p = 0.99"),
+        (["stationary", "--p", "0.7", "--max-k", "837"], "pi(837) at p = 0.7"),
+        (["threshold", "--k", "154", "--p", "0.99", "--tol", "0.1"], "pi(154) at p = 0.99"),
+        (["accidental-bias", "--n", "2", "--p", "0.7", "--z", "nan,0"], "z must be unit length"),
+    ],
+)
+def test_values_without_a_float_answer_are_refused(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named}") and "Traceback" not in err
+
+
+def test_main_builds_its_parser_once_and_answers_as_fresh_builds(capsys, monkeypatch):
+    argvs = [["sigma", "--n", "5", "--p", "0.7", "--mode", "rational"],
+             ["pmf", "--n", "9", "--p", "0.7", "--format", "json"]]
+    fresh = []
+    for argv in argvs:
+        args = bcdexact.cli.build_parser().parse_args(argv)
+        fresh.append(args.handler(args).render(args.format))
+    builds = []
+    build = bcdexact.cli.build_parser
+    monkeypatch.setattr(bcdexact.cli, "build_parser", lambda: builds.append(1) or build())
+    bcdexact.cli._parser.cache_clear()
+    try:
+        shared = [run_cli(capsys, *argv) for argv in argvs]
+    finally:
+        bcdexact.cli._parser.cache_clear()
+    assert builds == [1]
+    assert shared == [(0, text, "") for text in fresh]
+
+
 def test_places_beyond_the_default_context_are_answered(capsys):
     code, out, _ = run_cli(capsys, "table3", "--n", "5", "--p", "0.7", "--places", "30")
     assert code == 0

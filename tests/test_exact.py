@@ -235,6 +235,22 @@ def test_stationary_deterministic_limits():
     assert dist.pi(2) == 0
 
 
+@pytest.mark.parametrize("p,last", [(0.99, 153), (0.7, 836)])
+def test_stationary_refuses_a_float_power_that_overflows(p, last):
+    # r ** (last + 2) overflows a float, so pi(last + 1) has no float route;
+    # pi(last) keeps its value, which at p = 0.7 is 0.0 (2 * r ** 837 is inf)
+    dist = StationaryDist(DesignParams(p))
+    r = p / (1 - p)
+    assert dist.pi(last) == (r * r - 1) / (2 * r ** (last + 1))
+    with pytest.raises(ValueError, match=rf"pi\({last + 1}\) at p = {p}\b"):
+        dist.pi(last + 1)
+    with pytest.raises(ValueError, match=rf"pi\({last + 1}\)"):
+        dist.two_sided_limit(-(last + 1))
+    # a Fraction p has no overflow
+    exact = StationaryDist(DesignParams(Fraction(str(p))))
+    assert 0 < exact.pi(last + 1) < exact.pi(last)
+
+
 def test_finite_masses_converge_to_the_two_sided_limit():
     dist = StationaryDist(P910)
     for k in (0, 1, 2):

@@ -8,14 +8,15 @@ bit, so every comparison here is `==`.
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
 import bcdexact.exact
 import bcdexact.stable
-from bcdexact.bias import selection_bias_report
+from bcdexact.bias import selection_bias_report, selection_bias_reports
 from bcdexact.design import DesignParams
-from bcdexact.exact import pmf_at, pmf_masses, term_factors
+from bcdexact.exact import pmf_at, pmf_dn, pmf_masses, term_factors, var_dns
 from bcdexact.stable import (
     UNDERFLOW_GUARD,
     FactoredProduct,
@@ -200,3 +201,55 @@ def test_a_large_call_forced_through_the_scalar_kernel_keeps_its_bits(monkeypatc
     replayed = pmf_masses(points, params)
     monkeypatch.setattr(bcdexact.exact, "SCALAR_LANES", 1 << 30)
     assert pmf_masses(points, params) == replayed
+
+
+# the default ladders of table2 (even and odd n) and table3
+TABLE2_NS = [10, 20, 50, 100, 200, 5, 15, 25, 75]
+TABLE3_NS = [5, 10, 15, 20, 25, 50, 75, 100, 200]
+
+
+@pytest.mark.parametrize("call,batches,steps", [
+    # up to LANE_BATCH summands replay in one batch: steps = the longest lane
+    (lambda: pmf_dn(260, DesignParams(0.7)), 1, 518),  # 8,645 summands
+    (lambda: pmf_dn(200, DesignParams(0.7)), 1, 398),
+    (lambda: var_dns(TABLE2_NS, DesignParams(0.7)), 1, 398),
+    (lambda: selection_bias_report(260, DesignParams(0.7)), 1, 513),
+    (lambda: selection_bias_reports(TABLE3_NS, DesignParams(0.7)), 1, 393),
+    # larger calls keep whole-point chunks of at most LANE_BATCH summands
+    (lambda: pmf_dn(400, DesignParams(0.7)), 2, 1478),  # 20,300 summands
+    (lambda: selection_bias_report(380, DesignParams(0.93)), 2, 1286),
+], ids=["pmf 260", "pmf 200", "table2", "selection-bias 260", "table3", "pmf 400",
+        "selection-bias 380"])
+def test_a_call_replays_in_the_fewest_lock_steps(call, batches, steps, monkeypatch):
+    lengths = []
+    replay = bcdexact.stable._replay_batch
+
+    def counted(*args):
+        lengths.append(int(args[-1][-1]))  # the batch's longest lane
+        return replay(*args)
+
+    monkeypatch.setattr(bcdexact.stable, "_replay_batch", counted)
+    call()
+    assert (len(lengths), sum(lengths)) == (batches, steps)
+
+
+# The replay's working set, as README states it: a tracemalloc peak under
+# 6,000,000 bytes for a law at any n.
+REPLAY_PEAK_BYTES = 6_000_000
+
+
+def test_the_replay_working_set_is_bounded_at_any_n():
+    # n = 358 fills one batch (16,289 summands) and n = 800 takes five; the
+    # working set is the peak less what the returned law keeps
+    working = []
+    for n in (358, 800):
+        tracemalloc.start()
+        try:
+            law = pmf_dn(n, DesignParams(0.7))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(law.masses) == n + 1
+        assert peak < REPLAY_PEAK_BYTES, (n, peak)
+        working.append(peak - kept)
+    assert working[1] <= working[0], working
