@@ -34,6 +34,7 @@ from .covariance import (
 from .design import DesignParams, parse_probability
 from .exact import SCAN_N_MAX, StationaryDist, asymptotic_var, pmf_at, pmf_dn, var_dn
 from .simulate import (
+    DEFAULT_BATCH_SIZE,
     MC_BATCH_BYTES,
     ScoreVector,
     TreatmentSequence,
@@ -464,7 +465,6 @@ def _cmd_simulate(args) -> CommandOutput:
         replicates=args.reps,
         seed=args.seed,
         batch_size=args.batch_size,
-        jobs=args.threads,
     )
     exact = statistic.exact(args.n, params)
     gap = abs(estimate.point - exact)
@@ -631,10 +631,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--reps", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--batch-size", type=int, default=1 << 16,
+    sub.add_argument("--batch-size", type=int, default=DEFAULT_BATCH_SIZE,
                      help=f"runs per batch; one batch may hold at most {MC_BATCH_BYTES >> 20} MiB")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="batches walked at once, at most one per batch and per CPU")
+    sub.add_argument("--threads", type=int,
+                     help="accepted and ignored: batches are walked one at a time")
     _add_common(sub)
     sub.set_defaults(handler=_cmd_simulate)
 

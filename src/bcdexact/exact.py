@@ -541,7 +541,7 @@ def _threshold_horizon(k: int, tols: Sequence[float], n_max: int) -> range:
     """The candidate n of k's parity, after checking k, tols and n_max."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if any(tol <= 0 for tol in tols):
+    if any(not tol > 0 for tol in tols):
         raise ValueError("tolerance must be positive")
     start = 2 if k == 0 else k
     if not tols:

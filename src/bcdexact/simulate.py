@@ -1,11 +1,11 @@
 """Sequence generation, exhaustive enumeration and Monte Carlo estimation.
 
 Single sequences come from a counter-based Philox stream so that replicate
-r of seed s is reproducible on any machine and any degree of parallelism:
-stream (s, r) is `SeedSequence(s, spawn_key=(r,))`.  Monte Carlo runs
-split their replicates into fixed-size batches, one stream per batch, and
-batches are merged in index order, so estimates are a pure function of
-(seed, replicates, batch_size) regardless of how many workers ran them.
+r of seed s is reproducible on any machine: stream (s, r) is
+`SeedSequence(s, spawn_key=(r,))`.  Monte Carlo runs split their
+replicates into fixed-size batches, one stream per batch, walked one at a
+time on the calling thread and merged in index order, so estimates are a
+pure function of (seed, replicates, batch_size).
 
 `enumerate_exact` walks all 2^n assignment paths with their exact
 probabilities (n capped at 16, which stays under a second) and is the
@@ -15,9 +15,7 @@ brute-force oracle the closed-form results are tested against.
 from __future__ import annotations
 
 import math
-import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -348,14 +346,12 @@ def _batch_sizes(replicates: int, batch_size: int) -> list[int]:
     return [batch_size] * full + ([rest] if rest else [])
 
 
-def _over_batches(n, params, seed, sizes, per_batch, jobs=1) -> list:
+def _over_batches(n, params, seed, sizes, per_batch) -> list:
     """per_batch(t, d) of each batch of runs, batch b walked on stream (seed, b).
 
-    With jobs > 1 the batches run on up to that many threads, but on no
-    more than there are batches or CPUs; results keep the batch order
-    either way.  Workers' malloc arenas keep the batch memory they freed,
-    so a threaded run's peak RSS varies from run to run.  A batch that
-    would hold more than MC_BATCH_BYTES is refused before any is walked.
+    The batches are walked one at a time on the calling thread, so a run
+    holds one batch at a time.  A batch that would hold more than
+    MC_BATCH_BYTES is refused before any is walked.
     """
     size = max(sizes, default=0)
     need = size * n * (1 + _imbalance_dtype(n).itemsize) + 8 * min(size, _chunk_rows(n)) * n
@@ -363,16 +359,8 @@ def _over_batches(n, params, seed, sizes, per_batch, jobs=1) -> list:
         raise ValueError(f"a batch of {size} runs of n = {n} needs {need} bytes, over "
                          f"the {MC_BATCH_BYTES} a batch may hold; use a smaller --batch-size")
     p = float(params.p)
-
-    def run(index_size):
-        index, size = index_size
-        return per_batch(*_simulate_batch(n, p, _stream(seed, index), size))
-
-    workers = min(jobs, len(sizes), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, enumerate(sizes)))
-    return [run(task) for task in enumerate(sizes)]
+    return [per_batch(*_simulate_batch(n, p, _stream(seed, b), rows))
+            for b, rows in enumerate(sizes)]
 
 
 def mc_estimate(
@@ -382,14 +370,13 @@ def mc_estimate(
     replicates: int,
     seed: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    jobs: int = 1,
 ) -> McEstimate:
     """Monte Carlo mean of a path statistic with its standard error.
 
     Replicates are dealt into batches of batch_size; batch b uses the
-    independent stream (seed, b), so any number of workers produces the
-    same estimate.  std_error is s / sqrt(replicates) with s the sample
-    standard deviation.
+    independent stream (seed, b), so the estimate is a pure function of
+    (seed, replicates, batch_size).  std_error is s / sqrt(replicates)
+    with s the sample standard deviation.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -402,7 +389,7 @@ def mc_estimate(
         values = stat.batch_values(t, d)
         return float(values.sum()), float((values * values).sum())
 
-    partials = _over_batches(n, params, seed, sizes, moments, jobs)
+    partials = _over_batches(n, params, seed, sizes, moments)
     total = math.fsum(s for s, _ in partials)
     total_sq = math.fsum(s2 for _, s2 in partials)
     mean = total / replicates

@@ -52,7 +52,7 @@ def round_half_even(x: float, places: int) -> str:
     quantum = decimal.Decimal(1).scaleb(-places)
     with decimal.localcontext() as context:  # room for every digit kept
         context.prec = max(context.prec, value.adjusted() + places + 2)
-        return str(value.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN))
+        return format(value.quantize(quantum, rounding=decimal.ROUND_HALF_EVEN), "f")
 
 
 def threshold_grid(

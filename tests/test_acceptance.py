@@ -383,7 +383,6 @@ def test_criterion_07_covariance_structure():
 
 def test_criterion_08_monte_carlo_concordance():
     violations = []
-    jobs = os.cpu_count() or 1
     replicates = 1_000_000
 
     t0 = time.perf_counter()
@@ -396,7 +395,7 @@ def test_criterion_08_monte_carlo_concordance():
             ("guess success at draw 25", 25, stat_correct_guess(25), float(selection_bias_step(25, params))),
         ]
         for name, n, stat, exact in cases:
-            est = mc_estimate(n, params, stat, replicates, seed=20_200 + n, jobs=jobs)
+            est = mc_estimate(n, params, stat, replicates, seed=20_200 + n)
             z = abs(est.point - exact) / est.std_error
             if z > 4.0:
                 violations.append(

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +220,18 @@ def test_threshold_horizon_above_the_scan_bound_is_refused(capsys):
     assert code == 0 and out.splitlines()[1] == "0,0.9,0.01,4"
 
 
+@pytest.mark.parametrize("tol", ["nan", "0", "0.01,nan"])
+def test_threshold_refuses_a_tolerance_that_is_not_positive(capsys, tol):
+    code, out, err = run_cli(capsys, "threshold", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: tolerance must be positive")
+
+
+def test_threshold_takes_an_infinite_tolerance(capsys):
+    code, out, _ = run_cli(capsys, "threshold", "--k", "0", "--p", "0.7", "--tol", "inf")
+    assert (code, out) == (0, "k,p,tol,n_threshold\n0,0.7,inf,2\n")
+
+
 # ---------------------------------------------------------------------------
 # json format and the record round-trip
 
@@ -378,51 +391,21 @@ def test_simulate_deterministic_coin_nails_the_neighbour_covariance(capsys):
     assert float(as_dict["exact"]) == -1.0
 
 
-def test_simulate_walks_its_batches_on_the_calling_thread_by_default(capsys, monkeypatch):
-    # worker threads keep freed batch memory in their own malloc arenas, so
-    # a threaded run's peak RSS changes from one run to the next
-    import bcdexact.simulate
-
-    def no_pool(*args, **kwargs):
-        raise AssertionError("simulate started a thread pool without --threads")
-
-    monkeypatch.setattr(bcdexact.simulate, "ThreadPoolExecutor", no_pool)
+@pytest.mark.parametrize("threads", [None, "-5", "0", "2", "1000000"])
+def test_simulate_walks_its_batches_on_the_calling_thread(capsys, monkeypatch, threads):
+    # a worker thread's malloc arena keeps the batch memory it freed, so a
+    # threaded run would hold more than one batch; --threads changes nothing
     argv = ["simulate", "--n", "40", "--p", "0.7", "--statistic", "variance",
-            "--reps", "100000", "--seed", "5"]
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    monkeypatch.undo()
-    assert run_cli(capsys, *argv, "--threads", "2") == (0, out, "")
+            "--reps", "10000", "--seed", "5", "--batch-size", "1000"]
+    serial = run_cli(capsys, *argv)
+    assert serial[0] == 0
 
+    def no_thread(self):
+        raise AssertionError("simulate started a thread")
 
-@pytest.mark.parametrize("cpus,reps,workers", [(4, 10_000, [4]), (16, 3_000, [3]), (None, 10_000, [])])
-def test_simulate_caps_its_threads_at_the_batches_and_cpus(capsys, monkeypatch, cpus, reps, workers):
-    # the fake pool records its size and maps on the calling thread, so no
-    # thread is started however large --threads is
-    import bcdexact.simulate
-
-    seen = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    argv = ["simulate", "--n", "40", "--p", "0.7", "--statistic", "variance",
-            "--reps", str(reps), "--seed", "5", "--batch-size", "1000"]
-    serial = run_cli(capsys, *argv, "--threads", "1")
-    monkeypatch.setattr(bcdexact.simulate, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(bcdexact.simulate.os, "cpu_count", lambda: cpus)
-    assert run_cli(capsys, *argv, "--threads", "1000000") == serial
-    assert seen == workers
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    flag = [] if threads is None else ["--threads", threads]
+    assert run_cli(capsys, *argv, *flag) == serial
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +506,14 @@ def test_places_beyond_the_default_context_are_answered(capsys):
     assert code == 0
     _, rows = csv_rows(out)
     assert rows[0] == ["5", "0.7", "0.10651999999999999", "0.106519999999999989692689439380"]
+
+
+def test_the_rounded_column_stays_fixed_point(capsys):
+    _, out, _ = run_cli(capsys, "table3", "--n", "5", "--p", "0.5000001", "--places", "10")
+    assert [row[-1] for row in csv_rows(out)[1]] == ["0.0000000625", "0.0000001000"]
+    _, out, _ = run_cli(capsys, "table2", "--even-n", "10", "--odd-n", "5", "--p", "1",
+                        "--places", "9")
+    assert [row[-1] for row in csv_rows(out)[1]][:2] == ["0.000000000", "0.000000000"]
 
 
 EDGE_INPUTS = [

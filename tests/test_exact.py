@@ -346,6 +346,21 @@ def test_threshold_needs_a_biased_coin():
         steady_state_threshold(0, DesignParams(0.5), 0.01)
 
 
+@pytest.mark.parametrize("tol", [0.0, -0.01, math.nan, -math.inf])
+def test_threshold_refuses_a_tolerance_that_is_not_positive(tol):
+    params = DesignParams(0.7)
+    for call in (lambda: steady_state_threshold(0, params, tol),
+                 lambda: steady_state_threshold_table([0, 1], params, [0.01, tol]),
+                 lambda: threshold_grid(tolerances=[tol])):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            call()
+
+
+def test_threshold_takes_an_infinite_tolerance_as_settled_at_once():
+    assert steady_state_threshold(0, DesignParams(0.7), math.inf) == 2
+    assert steady_state_threshold_table([1], DesignParams(0.7), [math.inf]) == [[1]]
+
+
 def test_threshold_persistence_not_first_touch():
     # the smallest n whose relative error dips under tol must keep every
     # later same-parity n under tol as well

@@ -1,6 +1,8 @@
 """Every name a module exports resolves, so a deleted helper cannot stay
 exported, and every name the benchmark harness imports resolves, so a
-deleted helper it needs fails here and not only in a benchmark run."""
+deleted helper it needs fails here and not only in a benchmark run.  No
+package module imports a thread or process pool, so concurrency cannot
+come back without a change to this file."""
 
 import ast
 import importlib
@@ -18,6 +20,7 @@ MODULES = ["bcdexact"] + [
     f"bcdexact.{info.name}" for info in pkgutil.iter_modules(bcdexact.__path__)
 ]
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+PACKAGE = Path(bcdexact.__file__).resolve().parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,3 +45,18 @@ def test_the_benchmark_oracle_call_stays_exact():
     # bench/checks.py passes the mode positionally, by name
     value = enumerate_exact(3, DesignParams(Fraction(7, 10)), stat_balance(), "rational")
     assert type(value) is Fraction
+
+
+def test_no_package_module_starts_threads_or_processes():
+    # one Monte Carlo batch at a time bounds a run's memory (MC_BATCH_BYTES);
+    # a worker's malloc arena keeps the batch memory it freed
+    imported = []  # (file, top-level module) of each absolute import in the package
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name.split(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.append((path.name, node.module.split(".")[0]))
+    assert ("simulate.py", "numpy") in imported
+    banned = {"threading", "_thread", "concurrent", "multiprocessing"}
+    assert [(path, module) for path, module in imported if module in banned] == []

@@ -130,7 +130,7 @@ def last_square_plus_first(t, d):
 def test_seeded_estimates_are_unchanged(monkeypatch, text, n, batch):
     stat = last_square_plus_first if text is None else parse_statistic(text, n)
     run = dict(n=n, params=DesignParams(0.58), statistic=stat, replicates=12_000,
-               seed=99, batch_size=batch, jobs=2)
+               seed=99, batch_size=batch)
     chunked = mc_estimate(**run)
     monkeypatch.setattr(bcdexact.simulate, "_simulate_batch", lockstep_batch)
     assert mc_estimate(**run) == chunked
@@ -159,23 +159,41 @@ print(done.returncode, wall, resource.getrusage(resource.RUSAGE_CHILDREN).ru_max
 """
 
 
-def test_simulate_at_n_1000_stays_within_its_time_and_memory_bound():
-    # measured 1.4 to 2.6 s and 322 to 329 MB over 7 runs (2-vCPU Xeon VM);
-    # the lock-step walk took 4.6 to 4.8 s and 1.66 GB.  The bounds leave
-    # the chunked walk 1.9x its slowest time and 1.8x its largest peak.
+def run_measured(*args):
+    """Stdout lines, wall time and peak RSS in KiB of `bcdexact.cli *args`
+    run as a child process, which must exit 0."""
     src = Path(bcdexact.simulate.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    argv = [sys.executable, "-m", "bcdexact.cli", "simulate", "--n", "1000", "--p", "0.7",
-            "--statistic", "balance", "--reps", "100000", "--seed", "1"]
+    argv = [sys.executable, "-m", "bcdexact.cli", *args]
     done = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     *out, last = done.stdout.splitlines()
     code, wall, maxrss_kb = last.split()
     assert done.returncode == 0 and code == "0", done.stderr
+    return out, float(wall), int(maxrss_kb)
+
+
+def test_simulate_at_n_1000_stays_within_its_time_and_memory_bound():
+    # measured 2.6 to 3.3 s and 237 MB over 10 runs (2-vCPU Xeon VM);
+    # the lock-step walk took 4.6 to 4.8 s and 1.66 GB.  The bounds leave
+    # the chunked walk 1.5x its slowest time and 2.5x its peak.
+    out, wall, maxrss_kb = run_measured("simulate", "--n", "1000", "--p", "0.7", "--statistic",
+                                        "balance", "--reps", "100000", "--seed", "1")
     assert out[:2] == ["label,value", "estimate,0.5726"]
-    assert int(maxrss_kb) < 600 * 1024, maxrss_kb
-    assert float(wall) < 5.0, wall
+    assert maxrss_kb < 600 * 1024, maxrss_kb
+    assert wall < 5.0, wall
+
+
+def test_threads_leave_the_peak_of_a_simulate_run_as_it_was():
+    # two worker threads each kept a batch in their own malloc arena:
+    # 80.8 to 81.4 MB against 58.6 MB on one thread (2-vCPU Xeon VM)
+    argv = ["simulate", "--n", "80", "--p", "0.7", "--statistic", "balance",
+            "--reps", "200000", "--seed", "1"]
+    out, _, serial_kb = run_measured(*argv)
+    threaded_out, _, threaded_kb = run_measured(*argv, "--threads", "2")
+    assert threaded_out == out
+    assert abs(threaded_kb - serial_kb) <= 2 * 1024, (serial_kb, threaded_kb)
 
 
 def refuse_to_walk(*args):

@@ -156,22 +156,6 @@ def test_stat_product_validates_indices():
 # Monte Carlo
 
 
-def test_mc_estimate_is_deterministic_across_worker_counts():
-    kwargs = dict(
-        n=12,
-        params=DesignParams(0.7),
-        statistic=stat_balance(),
-        replicates=50_000,
-        seed=2024,
-        batch_size=1 << 13,
-    )
-    serial = mc_estimate(jobs=1, **kwargs)
-    threaded = mc_estimate(jobs=4, **kwargs)
-    assert serial.point == threaded.point
-    assert serial.std_error == threaded.std_error
-    assert serial.replicates == threaded.replicates == 50_000
-
-
 def test_seeded_monte_carlo_results_are_pinned():
     # 50,000 replicates in batches of 8192 end in a partial batch of 848;
     # 10,000 in batches of 3000 end in one of 1000

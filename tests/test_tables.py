@@ -87,6 +87,14 @@ def test_round_half_even_keeps_every_digit_up_to_max_places():
         round_half_even(0.1, MAX_PLACES + 1)
 
 
+def test_round_half_even_stays_fixed_point_below_a_millionth_and_at_zero():
+    # str(Decimal) switches to exponent notation here ('6.25E-8', '0E-9')
+    assert round_half_even(6.249999540131057e-08, 10) == "0.0000000625"
+    assert round_half_even(9.999997993137891e-08, 10) == "0.0000001000"
+    assert round_half_even(0.0, 9) == "0.000000000"
+    assert round_half_even(5e-324, 3) == "0.000"
+
+
 def test_variance_grid_renders_the_reference_digits():
     rows = variance_grid()
     assert len(rows) == 44
