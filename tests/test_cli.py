@@ -290,7 +290,8 @@ def test_default_grids_match_the_golden_bytes(tmp_path, capsys, name, argv):
 
 
 # Cheap commands of every kind with their expected exit code and stdout.
-# "{files}" in an argv names a directory holding the corpus's input files.
+# "{files}" in an argv or a stdout names a directory holding the corpus's
+# input files (a JSON record echoes the paths it read).
 CORPUS = json.loads((GOLDEN / "cli_corpus.json").read_text())
 
 
@@ -300,7 +301,7 @@ def test_cli_corpus_stdout_is_unchanged(tmp_path, capsys, case):
         (tmp_path / name).write_text(text)
     argv = [arg.replace("{files}", str(tmp_path)) for arg in case["argv"]]
     code, out, _ = run_cli(capsys, *argv)
-    assert (code, out) == (case["exit"], case["stdout"])
+    assert (code, out) == (case["exit"], case["stdout"].replace("{files}", str(tmp_path)))
 
 
 # ---------------------------------------------------------------------------
