@@ -5,7 +5,8 @@ default; header row, one record per line, full-precision `repr` values)
 or a flat JSON record via `--format json`.  Exact quantities accept
 `--mode rational` when n is small enough (RATIONAL_N_CAP) and print
 fractions as "numerator/denominator"; Monte Carlo commands are float
-only.  Exit codes: 0 success, 2 bad usage or invalid values, 3 an
+only.  Exit codes: 0 success, 2 bad usage, invalid values or an `--out`
+file that cannot be written (nothing is printed on stdout then), 3 an
 iterative solver failed to converge.
 """
 
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import sys
@@ -47,7 +47,7 @@ from .simulate import (
 )
 from . import tables
 
-__all__ = ["FLOAT_SIGMA_N_CAP", "OutputRecord", "RATIONAL_N_CAP", "main"]
+__all__ = ["FLOAT_SIGMA_N_CAP", "RATIONAL_N_CAP", "main"]
 
 RATIONAL_N_CAP = 64
 # Largest float covariance matrix the CLI builds.  The Sigma rows cost
@@ -56,8 +56,6 @@ RATIONAL_N_CAP = 64
 # Time sets the cap, not accuracy: the rows' closed-form scan rescales its
 # start terms and stays accurate up to SCAN_N_MAX.
 FLOAT_SIGMA_N_CAP = 256
-
-_FRACTION_TAG = "/"
 
 
 def _encode(value):
@@ -71,49 +69,6 @@ def _encode(value):
     return value
 
 
-def _decode(value):
-    if isinstance(value, str) and _FRACTION_TAG in value:
-        num, _, den = value.partition("/")
-        try:
-            return Fraction(int(num), int(den))
-        except ValueError:
-            return value
-    return value
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    """One command's machine-readable result.
-
-    values is an ordered list of (label, scalar) pairs; grid commands
-    label each cell individually so the JSON stays one level deep.
-    """
-
-    command: str
-    mode: str
-    inputs: tuple
-    values: tuple
-
-    def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "mode": self.mode,
-            "inputs": [[k, _encode(v)] for k, v in self.inputs],
-            "values": [[k, _encode(v)] for k, v in self.values],
-        }
-        return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "OutputRecord":
-        payload = json.loads(text)
-        return cls(
-            command=payload["command"],
-            mode=payload["mode"],
-            inputs=tuple((k, _decode(v)) for k, v in payload["inputs"]),
-            values=tuple((k, _decode(v)) for k, v in payload["values"]),
-        )
-
-
 def _cell(value) -> str:
     """Full-precision CSV rendering of one scalar."""
     if value is None:
@@ -125,38 +80,33 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    out = io.StringIO()
-    out.write(",".join(header) + "\n")
-    for row in rows:
-        out.write(",".join(_cell(v) for v in row) + "\n")
-    return out.getvalue()
-
-
 @dataclass(frozen=True)
 class CommandOutput:
-    record: OutputRecord
-    header: list[str]
-    rows: list[list]
+    """One command's result, rendered as a flat JSON record or as CSV.
 
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.record.to_json() + "\n"
-        return _csv_text(self.header, self.rows)
+    values is an ordered list of (label, scalar) pairs; grid commands
+    label each cell individually so the JSON stays one level deep.  The
+    CSV is header then rows, and rows defaults to one label,value row per
+    value.
+    """
 
+    inputs: list
+    values: list
+    header: tuple = ("label", "value")
+    rows: list | None = None
 
-def _record(args, inputs: list, values: list) -> OutputRecord:
-    return OutputRecord(
-        command=args.command,
-        mode=args.mode,
-        inputs=tuple(inputs),
-        values=tuple(values),
-    )
-
-
-def _labelled(args, inputs: list, values: list) -> CommandOutput:
-    """The output of a command whose CSV is one label,value row per value."""
-    return CommandOutput(_record(args, inputs, values), ["label", "value"], list(map(list, values)))
+    def render(self, args) -> str:
+        """The text `args.format` asks for; the record names `args.command` and `args.mode`."""
+        if args.format == "json":
+            payload = {
+                "command": args.command,
+                "mode": args.mode,
+                "inputs": [[k, _encode(v)] for k, v in self.inputs],
+                "values": [[k, _encode(v)] for k, v in self.values],
+            }
+            return json.dumps(payload, indent=2) + "\n"
+        rows = self.values if self.rows is None else self.rows
+        return "".join(",".join(map(_cell, row)) + "\n" for row in [self.header, *rows])
 
 
 def _params_of(args) -> DesignParams:
@@ -214,23 +164,23 @@ def _cmd_pmf(args) -> CommandOutput:
     inputs = [("n", args.n), ("p", params.p)]
     if args.k is not None:
         inputs.append(("k", args.k))
-        return _labelled(args, inputs, [("probability", pmf_at(args.n, args.k, params))])
+        return CommandOutput(inputs, [("probability", pmf_at(args.n, args.k, params))])
     dist = pmf_dn(args.n, params)
     rows = [[k, dist.mass(k)] for k in dist.support()]
     values = [(str(k), mass) for k, mass in rows]
-    return CommandOutput(_record(args, inputs, values), ["k", "probability"], rows)
+    return CommandOutput(inputs, values, ("k", "probability"), rows)
 
 
 def _cmd_var(args) -> CommandOutput:
     params = _params_of(args)
     if args.limit is not None:
         inputs = [("p", params.p), ("limit", args.limit)]
-        return _labelled(args, inputs, [("limit_variance", asymptotic_var(params, args.limit))])
+        return CommandOutput(inputs, [("limit_variance", asymptotic_var(params, args.limit))])
     if args.n is None:
         raise ValueError("var needs --n or --limit {even,odd}")
     _check_rational_cap(args, args.n)
     inputs = [("n", args.n), ("p", params.p)]
-    return _labelled(args, inputs, [("variance", var_dn(args.n, params))])
+    return CommandOutput(inputs, [("variance", var_dn(args.n, params))])
 
 
 def _cmd_stationary(args) -> CommandOutput:
@@ -243,11 +193,7 @@ def _cmd_stationary(args) -> CommandOutput:
         values.append((f"pi({k})", pi_k))
         values.append((f"two_sided({k})", limit_k))
     inputs = [("p", params.p), ("max_k", args.max_k)]
-    return CommandOutput(
-        _record(args, inputs, values),
-        ["k", "stationary_mass", "two_sided_limit"],
-        rows,
-    )
+    return CommandOutput(inputs, values, ("k", "stationary_mass", "two_sided_limit"), rows)
 
 
 def _threshold_sentinel(n_threshold, n_max: int):
@@ -266,11 +212,7 @@ def _cmd_threshold(args) -> CommandOutput:
         rows.append([cell["k"], float(cell["p"]), cell["tol"], shown])
         values.append((f"k={cell['k']},p={float(cell['p'])},tol={cell['tol']}", shown))
     inputs = [("k", args.k), ("p", args.p), ("tol", args.tol), ("n_max", args.n_max)]
-    return CommandOutput(
-        _record(args, inputs, values),
-        ["k", "p", "tol", "n_threshold"],
-        rows,
-    )
+    return CommandOutput(inputs, values, ("k", "p", "tol", "n_threshold"), rows)
 
 
 def _cmd_table2(args) -> CommandOutput:
@@ -284,11 +226,7 @@ def _cmd_table2(args) -> CommandOutput:
         for r in grid
     ]
     inputs = [("even_n", args.even_n), ("odd_n", args.odd_n), ("p", args.p)]
-    return CommandOutput(
-        _record(args, inputs, values),
-        ["parity", "n", "p", "variance", "rounded"],
-        rows,
-    )
+    return CommandOutput(inputs, values, ("parity", "n", "p", "variance", "rounded"), rows)
 
 
 def _cmd_table3(args) -> CommandOutput:
@@ -301,11 +239,7 @@ def _cmd_table3(args) -> CommandOutput:
         for r in grid
     ]
     inputs = [("n", args.n), ("p", args.p)]
-    return CommandOutput(
-        _record(args, inputs, values),
-        ["n", "p", "average_excess", "rounded"],
-        rows,
-    )
+    return CommandOutput(inputs, values, ("n", "p", "average_excess", "rounded"), rows)
 
 
 def _conjecture_values(params: DesignParams, spectrum) -> list[tuple]:
@@ -343,7 +277,7 @@ def _cmd_sigma(args) -> CommandOutput:
             values.extend(extra)
             rows.extend([label, value] + [None] * (args.n - 2) for label, value in extra)
     inputs = [("n", args.n), ("p", params.p)]
-    return CommandOutput(_record(args, inputs, values), header, rows)
+    return CommandOutput(inputs, values, header, rows)
 
 
 def _cmd_eigen(args) -> CommandOutput:
@@ -361,7 +295,7 @@ def _cmd_eigen(args) -> CommandOutput:
         values.extend(extra)
         rows.extend([label, value] for label, value in extra)
     inputs = [("n", args.n), ("p", params.p)]
-    return CommandOutput(_record(args, inputs, values), ["index", "eigenvalue"], rows)
+    return CommandOutput(inputs, values, ("index", "eigenvalue"), rows)
 
 
 def _cmd_selection_bias(args) -> CommandOutput:
@@ -373,16 +307,14 @@ def _cmd_selection_bias(args) -> CommandOutput:
     if args.per_step:
         rows = [[j, value] for j, value in enumerate(report.per_step, start=1)]
         values = [(f"step({j})", value) for j, value in rows]
-        return CommandOutput(
-            _record(args, inputs, values), ["draw", "guess_probability"], rows
-        )
+        return CommandOutput(inputs, values, ("draw", "guess_probability"), rows)
     values = [
         ("expected_correct_total", report.total),
         ("closed_form_total", closed),
         ("excess", report.excess),
         ("average_excess", report.average_excess),
     ]
-    return _labelled(args, inputs, values)
+    return CommandOutput(inputs, values)
 
 
 def _cmd_accidental_bias(args) -> CommandOutput:
@@ -395,7 +327,7 @@ def _cmd_accidental_bias(args) -> CommandOutput:
         z = two_p_eigenvector(args.n)
     value = accidental_bias(z, cov)
     inputs = [("n", args.n), ("p", params.p), ("z", ",".join(repr(float(c)) for c in z))]
-    return _labelled(args, inputs, [("quadratic_form", float(value))])
+    return CommandOutput(inputs, [("quadratic_form", float(value))])
 
 
 def _cmd_ranktest(args) -> CommandOutput:
@@ -451,7 +383,7 @@ def _cmd_ranktest(args) -> CommandOutput:
             "a Monte Carlo p-value needs an observed statistic: give "
             "--assignments FILE or --seed to generate one run"
         )
-    return _labelled(args, inputs, values)
+    return CommandOutput(inputs, values)
 
 
 def _cmd_simulate(args) -> CommandOutput:
@@ -483,7 +415,7 @@ def _cmd_simulate(args) -> CommandOutput:
         ("abs_z", z),
         ("replicates", estimate.replicates),
     ]
-    return _labelled(args, inputs, values)
+    return CommandOutput(inputs, values)
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +586,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        output = args.handler(args)
+        text = args.handler(args).render(args)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -662,11 +597,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         print(f"run `bcdexact {args.command} --help` for usage", file=sys.stderr)
         return 2
-    text = output.render(args.format)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

@@ -102,20 +102,14 @@ def term_factors(
 def _term(n: int, k: int, l: int, params: DesignParams, steps: int) -> Number:
     """The l-th summand of P(D_n = k), k >= 0, in the arithmetic of p.
 
-    Exact over Fractions for a Fraction p; for a float p the guarded product
-    of `term_factors` in the window M = 4 steps (a FactoredProduct if it banks).
+    For a float p the guarded product of `term_factors` in the window
+    M = 4 steps (a FactoredProduct if it banks).  A Fraction p is asked
+    only for k = 0 (the first-return masses of `covariance.first_visit`;
+    rational laws sum in `_exact_mass`), and gets that summand exactly.
     """
     if not params.is_exact:
         return stable_term_product(*term_factors(n, k, l, params), 4.0 * steps)
     p, q = params.p, params.q
-    if k > 0:
-        return (
-            Fraction(1, 2)
-            * Fraction(n + k - 2 * l, n + k + 2 * l)
-            * math.comb((n + k) // 2 + l, l)
-            * p ** ((n - k) // 2)
-            * q ** (k + l - 1)
-        )
     return Fraction(n - 2 * l, n + 2 * l) * math.comb(n // 2 + l, l) * p ** (n // 2) * q**l
 
 
@@ -130,7 +124,7 @@ def _exact_mass(n: int, k: int, count: int, params: DesignParams) -> Fraction:
         A^((n-k)/2) Q^(k-1) acc / (2 B^((n-k)/2 + k - 1 + count))   (k > 0)
         A^(n/2) acc / B^(n/2 + count)                              (k = 0),
 
-    one Fraction, equal to the sum of `_term`.
+    one Fraction, equal to the sum of the closed form's summands.
     """
     big_a, big_b = params.p.numerator, params.p.denominator
     big_q = big_b - big_a
@@ -256,13 +250,6 @@ class ImbalancePMF:
 
     def support(self) -> list[int]:
         return sorted(self.masses)
-
-    def total(self) -> Number:
-        return sum(self.masses.values())
-
-    def variance(self) -> Number:
-        """E[D_n^2]; the mean is 0 by symmetry."""
-        return sum(k * k * v for k, v in self.masses.items())
 
 
 def pmf_dn(n: int, params: DesignParams) -> ImbalancePMF:

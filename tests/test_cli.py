@@ -10,7 +10,7 @@ import pytest
 
 import bcdexact.cli
 import bcdexact.covariance
-from bcdexact.cli import FLOAT_SIGMA_N_CAP, RATIONAL_N_CAP, OutputRecord, main
+from bcdexact.cli import FLOAT_SIGMA_N_CAP, RATIONAL_N_CAP, main
 from bcdexact.covariance import (
     ConvergenceError,
     eigen_spectrum,
@@ -233,7 +233,7 @@ def test_threshold_takes_an_infinite_tolerance(capsys):
 
 
 # ---------------------------------------------------------------------------
-# json format and the record round-trip
+# json format and reading it back
 
 
 def test_json_round_trip_preserves_fractions(capsys):
@@ -242,13 +242,13 @@ def test_json_round_trip_preserves_fractions(capsys):
         "--mode", "rational",
     )
     assert code == 0
-    record = OutputRecord.from_json(out)
-    assert record.command == "pmf"
-    assert record.mode == "rational"
-    values = dict(record.values)
-    assert values["0"] == Fraction(891, 1000)
-    assert values["4"] == Fraction(1, 2000)
-    assert dict(record.inputs)["p"] == Fraction(9, 10)
+    record = json.loads(out)
+    assert record["command"] == "pmf"
+    assert record["mode"] == "rational"
+    values = dict(record["values"])
+    assert Fraction(values["0"]) == Fraction(891, 1000)
+    assert Fraction(values["4"]) == Fraction(1, 2000)
+    assert Fraction(dict(record["inputs"])["p"]) == Fraction(9, 10)
 
 
 def test_json_output_is_plain_json(capsys):
@@ -268,6 +268,20 @@ def test_out_flag_writes_the_file_and_keeps_stdout_quiet(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "label,value\nprobability,0.6667\n"
+
+
+@pytest.mark.parametrize(
+    "p,target",
+    [("0.7", "{tmp}"), ("0.7", "{tmp}/missing/pmf.csv"), ("1.5", "{tmp}/pmf.csv")],
+    ids=["directory", "missing-parent", "failing-command"],
+)
+def test_an_out_file_that_is_not_written_exits_2_and_prints_nothing(tmp_path, capsys, p, target):
+    code, out, err = run_cli(
+        capsys, "pmf", "--n", "5", "--p", p, "--out", target.format(tmp=tmp_path)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +503,7 @@ def test_main_builds_its_parser_once_and_answers_as_fresh_builds(capsys, monkeyp
     fresh = []
     for argv in argvs:
         args = bcdexact.cli.build_parser().parse_args(argv)
-        fresh.append(args.handler(args).render(args.format))
+        fresh.append(args.handler(args).render(args))
     builds = []
     build = bcdexact.cli.build_parser
     monkeypatch.setattr(bcdexact.cli, "build_parser", lambda: builds.append(1) or build())
