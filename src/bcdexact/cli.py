@@ -184,6 +184,8 @@ def _cmd_var(args) -> CommandOutput:
 
 
 def _cmd_stationary(args) -> CommandOutput:
+    if args.max_k < 0:
+        raise ValueError("max_k must be >= 0")
     params = _params_of(args)
     dist = StationaryDist(params)
     ks = range(args.max_k + 1)

@@ -24,7 +24,8 @@ at 4u for u steps, not the 4(u+|k|) of D_{u+|k|}.
 `sigma` builds each row from the law of D_{i-1} and a table of cumulative
 first-return masses: in float64 for a float p, and on integer numerators
 for a Fraction p = A/B, where every mass, first-return mass and t_k has a
-power of B or 2B as its denominator, so each entry is one Fraction.
+power of B or 2B as its denominator, so each entry is one Fraction.  Rows
+in both arithmetics take their weights from one `_row_weights`.
 
 sigma(n) always carries the vector v = (sqrt(2)/2, -sqrt(2)/2, 0, ..., 0)
 as an eigenvector with eigenvalue 2p; `verify_2p_eigenpair` measures the
@@ -43,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DesignParams, Number, transition_prob
-from .exact import _term, _two_sided_scan, pmf_dn
+from .exact import _term, _two_sided_scan, pmf_dn, pmf_masses
 
 __all__ = [
     "AssignmentCovariance",
@@ -221,65 +222,15 @@ def _first_return_table(n: int, params: DesignParams) -> np.ndarray:
     return np.cumsum(f, axis=1)
 
 
-def _imbalance_laws(n: int, params: DesignParams):
-    """Signed laws {k: P(D_m = k)} for m = 0 .. n - 1, for a float p.
+def _exact_first_returns(n: int, params: DesignParams) -> np.ndarray:
+    """G[m, u] = fhat_m(u) B^(n-1) as integers, for a Fraction p = A/B.
 
-    Every mass comes off one call of the closed-form ratio scan over all
-    (m, k), and each law is filled k by k, +k before -k.
-    """
-    lane_m = [m for k in range(n) for m in range(k, n, 2)]
-    lane_k = [k for k in range(n) for _ in range(k, n, 2)]
-    laws: list[dict[int, float]] = [{} for _ in range(n)]
-    for m, k, two_sided in zip(lane_m, lane_k, _two_sided_scan(lane_m, lane_k, params.p)):
-        if k:
-            laws[m][k] = laws[m][-k] = two_sided / 2
-        else:
-            laws[m][0] = two_sided
-    return laws
-
-
-def _row_weights(i: int, law: dict[int, float], params: DesignParams):
-    """Weights w(m) over m = |k + 1| and the constant c of Sigma row i.
-
-    With P_k = P(D_{i-1} = k), the joint P(T_i = 1, T_j = 1) is
-    sum_m w(m) fhat_m(j - i - 1) + c, where
-
-        w(m) = sum_{|k+1| = m} P_k t_k (1/2 - t_{k+1}),  c = sum_k P_k t_k t_{k+1}.
-
-    Only m of the parity of i (and m <= i) can carry weight.
-    """
-    w = np.zeros(i + 1)
-    c = 0.0
-    half = params.half
-    for k, mass in law.items():
-        t_k, t_up = transition_prob(params, k), transition_prob(params, k + 1)
-        w[abs(k + 1)] += mass * t_k * (half - t_up)
-        c += mass * t_k * t_up
-    return w, c
-
-
-def _exact_upper(n: int, params: DesignParams) -> np.ndarray:
-    """Sigma's unit diagonal and upper triangle in Fractions, for a Fraction p.
-
-    The rows of the float route, on integer numerators.  With p = A/B in
-    lowest terms and Q = B - A:
-      - N_k = P(D_{i-1} = k) (2B)^(i-1) is an integer (the laws of pmf_dn);
-      - G[m, u] = fhat_m(u) B^(n-1) is an integer: g_m(l) = f_m(l) B^l runs
-        the recurrence of _first_return_table as g_m(m) = A^m,
-        g_m(l + 2) = g_m(l) l (l + 1) A Q / ((a + 1)(b + 1)), which divides
-        exactly;
-      - T_k = 2B t_k is B, 2A or 2Q.
-    So row i has integer weights W(m) = sum_{|k+1| = m} N_k T_k (B - T_{k+1})
-    and constant C = sum_k N_k T_k T_{k+1}, and P(T_i = 1, T_j = 1) is
-    x / den with x = W . G[:, j - i - 1] + C B^(n-1) and
-    den = (2B)^(i+1) B^(n-1): one Fraction per entry.
+    g_m(l) = f_m(l) B^l runs the recurrence of _first_return_table as
+    g_m(m) = A^m, g_m(l + 2) = g_m(l) l (l + 1) A Q / ((a + 1)(b + 1)),
+    which divides exactly (Q = B - A).
     """
     big_a, big_b = params.p.numerator, params.p.denominator
     big_q = big_b - big_a
-
-    def scaled_t(k: int) -> int:  # 2B t_k
-        return big_b if k == 0 else 2 * big_q if k > 0 else 2 * big_a
-
     g = np.zeros((n, n), dtype=object)
     g[0, 0] = 1
     for m in range(1, n):
@@ -288,25 +239,40 @@ def _exact_upper(n: int, params: DesignParams) -> np.ndarray:
             g[m, l] = term
             a, b = (l + m) // 2, (l - m) // 2
             term = term * (l * (l + 1)) * big_a * big_q // ((a + 1) * (b + 1))
-    top = big_b ** (n - 1)
     scale = np.array([big_b ** (n - 1 - l) for l in range(n)], dtype=object)
-    table = np.cumsum(g * scale, axis=1)
+    return np.cumsum(g * scale, axis=1)
 
-    out = np.full((n, n), Fraction(1))
-    for i in range(1, n):
-        law_scale = (2 * big_b) ** (i - 1)
-        w = np.zeros(i + 1, dtype=object)
-        c = 0
-        for k, mass in pmf_dn(i - 1, params).masses.items():
-            num = law_scale // mass.denominator * mass.numerator  # N_k
-            t_k, t_up = scaled_t(k), scaled_t(k + 1)
-            w[abs(k + 1)] += num * t_k * (big_b - t_up)
-            c += num * t_k * t_up
-        m = slice(i % 2, i + 1, 2)
-        den = (2 * big_b) ** (i + 1) * top
-        x = w[m] @ table[m, : n - i] + c * top
-        out[i - 1, i:] = [Fraction(4 * v - den, den) for v in x]
-    return out
+
+def _row_weights(laws: np.ndarray, t_fair, t_up, t_down):
+    """Weights W[i - 1, m] over m = |k + 1| and constants c[i - 1] of Sigma's rows.
+
+    laws[i - 1, k] = P(D_{i-1} = +-k) for k >= 0, on any common scale per
+    row, and t_k is t_fair at k = 0, t_up above and t_down below.  The
+    joint P(T_i = 1, T_j = 1) is sum_m W[i - 1, m] fhat_m(j - i - 1) +
+    c[i - 1], where, with P_k the law,
+
+        w(m) = sum_{|k+1| = m} P_k t_k (t_fair - t_{k+1}),  c = sum_k P_k t_k t_{k+1}.
+
+    Only m of the parity of i (and m <= i) can carry weight.  Each w(m)
+    adds its k = m - 1 term and then its k = -m - 1 term, and c adds the
+    terms for k = 0, 1, -1, 2, -2, ... in sequence, so a float row has the
+    bits of that scalar loop.
+    """
+    size = len(laws)
+    t_k = np.full(size, t_up, dtype=laws.dtype)  # t_k at k = 0, 1, 2, ...
+    t_k[:1] = t_fair
+    t_next = np.full(size, t_down, dtype=laws.dtype)  # t_{k+1} at k = -1, -2, ...
+    t_next[:1] = t_fair
+    ahead = laws * t_k  # P_k t_k at k = 0, 1, 2, ...
+    behind = laws[:, 1:] * t_down  # P_k t_k at k = -1, -2, ...
+    weights = np.zeros((size, size + 1), dtype=laws.dtype)
+    weights[:, 1:] += ahead * (t_fair - t_up)
+    weights[:, :-2] += behind * (t_fair - t_next[:-1])
+    # c starts at 0; columns 2j + 1 and 2j + 2 hold k = j and k = -j (none at j = 0)
+    terms = np.zeros((size, 2 * size + 1), dtype=laws.dtype)
+    terms[:, 1::2] = ahead * t_up
+    terms[:, 4::2] = behind * t_next[:-1]
+    return weights, np.cumsum(terms, axis=1)[:, -1]
 
 
 def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
@@ -314,24 +280,44 @@ def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
 
     Row i above the diagonal is one vector-matrix product over the
     cumulative first-return table: sigma_{i, i+1+u} = 4 (w_i . F[:, u] +
-    c_i) - 1 for u = 0 .. n - i - 1.  A float p builds it in float64; a
-    Fraction p builds the same rows on integer numerators (`_exact_upper`)
-    and makes one Fraction per entry.  The lower triangle mirrors the upper
-    one, so the matrix is exactly symmetric with an exact unit diagonal.
-    joint_assignment computes the same entries one at a time and is kept
-    as the cross-check.
+    c_i) - 1 for u = 0 .. n - i - 1, with w_i and c_i from `_row_weights`.
+    A float p builds it in float64 from one closed-form scan of the laws.
+    A Fraction p = A/B builds the same rows on integers: the laws times
+    (2B)^(i-1) from one `pmf_masses` call, T_k = 2B t_k (B, 2(B - A) or
+    2A) and G = F B^(n-1) (`_exact_first_returns`), so each entry is
+    x / den with den = (2B)^(i+1) B^(n-1): one Fraction per entry.  The
+    lower triangle mirrors the upper one, so the matrix is exactly
+    symmetric with an exact unit diagonal.  joint_assignment computes the
+    same entries one at a time and is kept as the cross-check.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    lane_m = [m for m in range(n - 1) for _ in range(m % 2, m + 1, 2)]
+    lane_k = [k for m in range(n - 1) for k in range(m % 2, m + 1, 2)]
     if params.is_exact:
-        out = _exact_upper(n, params)
+        big_a, big_b = params.p.numerator, params.p.denominator
+        laws = np.zeros((n - 1, n - 1), dtype=object)
+        points = list(zip(lane_m, lane_k))
+        for (m, k), mass in zip(points, pmf_masses(points, params)):
+            laws[m, k] = (2 * big_b) ** m // mass.denominator * mass.numerator
+        weights, consts = _row_weights(laws, big_b, 2 * (big_b - big_a), 2 * big_a)
+        table, top = _exact_first_returns(n, params), big_b ** (n - 1)
+        out = np.full((n, n), Fraction(1))
     else:
-        table = _first_return_table(n, params)
+        laws = np.zeros((n - 1, n - 1))
+        laws[lane_m, lane_k] = _two_sided_scan(lane_m, lane_k, params.p)
+        laws[:, 1:] /= 2
+        weights, consts = _row_weights(laws, params.half, params.q, params.p)
+        table, top = _first_return_table(n, params), 1.0
         out = np.ones((n, n))
-        for i, law in enumerate(_imbalance_laws(n - 1, params), start=1):
-            w, c = _row_weights(i, law, params)
-            m = slice(i % 2, i + 1, 2)
-            out[i - 1, i:] = 4 * (w[m] @ table[m, : n - i] + c) - 1
+    for i in range(1, n):
+        m = slice(i % 2, i + 1, 2)
+        x = weights[i - 1, m] @ table[m, : n - i] + consts[i - 1] * top
+        if params.is_exact:
+            den = (2 * big_b) ** (i + 1) * top
+            out[i - 1, i:] = [Fraction(4 * v - den, den) for v in x]
+        else:
+            out[i - 1, i:] = 4 * x - 1
     upper = np.triu_indices(n, 1)
     out[upper[::-1]] = out[upper]
     return AssignmentCovariance(n=n, params=params, matrix=out)

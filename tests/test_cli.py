@@ -172,6 +172,13 @@ def test_stationary_masses(capsys):
     assert rows[1] == ["1", "3/8", "3/4"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stationary_refuses_a_negative_max_k(capsys, fmt):
+    code, out, err = run_cli(capsys, "stationary", "--p", "0.7", "--max-k", "-1", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: max_k must be >= 0\n")
+
+
 def test_accidental_bias_defaults_to_the_worst_case_vector(capsys):
     code, out, _ = run_cli(capsys, "accidental-bias", "--n", "8", "--p", "0.75")
     assert code == 0

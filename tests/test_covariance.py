@@ -17,8 +17,8 @@ from bcdexact.covariance import (
     ConvergenceError,
     FirstVisitTable,
     _first_return_table,
-    _imbalance_laws,
     _round_robin,
+    _row_weights,
     cond_assignment,
     eigen_spectrum,
     first_visit,
@@ -28,7 +28,7 @@ from bcdexact.covariance import (
     two_p_eigenvector,
     verify_2p_eigenpair,
 )
-from bcdexact.design import DesignParams
+from bcdexact.design import DesignParams, transition_prob
 from bcdexact.exact import _two_sided_scan, dp_pmf_dn, pmf_dn
 from test_exact import scalar_scan
 
@@ -244,11 +244,29 @@ def test_row_sources_hold_at_the_float_size_cap(p):
         assert table[m, u] == pytest.approx(visits.f_hat(m, u), rel=1e-12, abs=1e-300), (m, u)
 
 
-def test_float_laws_keep_the_k_major_key_order():
-    # _row_weights sums each law in its key order, so the order fixes Sigma's bits
-    laws = _imbalance_laws(20, DesignParams(0.7))
-    for m, law in enumerate(laws):
-        assert list(law) == [j for k in range(m % 2, m + 1, 2) for j in ((k, -k) if k else (0,))]
+@pytest.mark.parametrize(
+    "p", [0.5, 0.55, 0.7, 0.9, 1.0, Fraction(7, 10), Fraction(713, 1000)], ids=str
+)
+def test_row_weights_equal_a_scalar_loop_over_each_law(p):
+    # a float row keeps its bits only if each sum adds its terms in this order
+    params = DesignParams(p)
+    scale = 2 * p.denominator if params.is_exact else 1  # rational laws and t_k on integers
+    t = lambda k: transition_prob(params, k) * scale
+    for n in (1, 2, 40):
+        laws = np.zeros((n - 1, n - 1), dtype=object if params.is_exact else float)
+        for m in range(n - 1):
+            for k, mass in pmf_dn(m, params).masses.items():
+                if k >= 0:
+                    laws[m, k] = int(mass * scale**m) if params.is_exact else mass
+        weights, consts = _row_weights(laws, t(0), t(1), t(-1))
+        assert weights.shape == (n - 1, n) and consts.shape == (n - 1,)
+        for m, law in enumerate(laws):
+            w, c = [params.zero] * n, params.zero
+            for k in [0] + [sign * j for j in range(1, n - 1) for sign in (1, -1)]:
+                w[abs(k + 1)] += law[abs(k)] * t(k) * (t(0) - t(k + 1))
+                c += law[abs(k)] * t(k) * t(k + 1)
+            assert np.array_equal(weights[m], np.array(w, dtype=laws.dtype)), (n, m)
+            assert consts[m] == c, (n, m)
 
 
 @pytest.mark.parametrize("n", [48, 256])

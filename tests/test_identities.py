@@ -13,6 +13,7 @@ import pytest
 
 from bcdexact.covariance import FirstVisitTable, first_visit
 from bcdexact.design import DesignParams
+from bcdexact.exact import StationaryDist, pmf_dn, pmf_masses, var_dns
 
 
 def _even_step_identity_holds(n: int, l: int) -> bool:
@@ -119,3 +120,38 @@ def test_single_step_masses_match_transition_probabilities():
     # from distance two the soonest return is two steps
     assert first_visit(2, 2, params) == Fraction(49, 100)
     assert first_visit(2, 1, params) == 0
+
+
+# ---------------------------------------------------------------------------
+# moments of the imbalance from the balance masses P0(m) = P(D_m = 0):
+#   E|D_{m+1}|  = E|D_m| + 2p P0(m) - (2p - 1)
+#   E[D_{m+1}^2] = E[D_m^2] + 1 - 2(2p - 1) E|D_m|
+# so the variance table (E[D_n^2] = Var(D_n)) follows from the balance
+# masses that selection bias reads.
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(7, 10), Fraction(713, 1000), Fraction(51, 100), Fraction(1)], ids=str
+)
+def test_imbalance_moments_follow_from_the_balance_masses(p):
+    params = DesignParams(p)
+    ns = [*range(64), 128, 256]
+    balance = pmf_masses([(m, 0) for m in range(max(ns))], params)
+    abs_moment, square = [Fraction(0)], [Fraction(0)]  # E|D_0|, E[D_0^2]
+    for m, p0 in enumerate(balance):
+        abs_moment.append(abs_moment[m] + 2 * p * p0 - (2 * p - 1))
+        square.append(square[m] + 1 - 2 * (2 * p - 1) * abs_moment[m])
+    assert [square[n] for n in ns] == var_dns(ns, params)
+    for n in range(40):
+        law = pmf_dn(n, params).masses
+        assert abs_moment[n] == sum(abs(k) * mass for k, mass in law.items()), n
+
+
+@pytest.mark.parametrize("p", [0.6, 0.7, 0.9])
+def test_stationary_mean_imbalances_of_both_parities_sum_to_one_over_the_drift(p):
+    # the limit of the second moment step, taken along even and odd n
+    dist = StationaryDist(DesignParams(p))
+    even = math.fsum(k * dist.two_sided_limit(k) for k in range(0, 300, 2))
+    odd = math.fsum(k * dist.two_sided_limit(k) for k in range(1, 300, 2))
+    assert even + odd == pytest.approx(1 / (2 * p - 1), rel=1e-12)
+
