@@ -135,6 +135,13 @@ def _float_only(args):
         raise ValueError(f"{args.command} is Monte Carlo based and supports --mode float only")
 
 
+def _seed_of(args) -> int:
+    """--seed, refused by name before numpy's stream refuses a negative one."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _parse_list(text: str, convert) -> list:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
     if not items:
@@ -364,7 +371,7 @@ def _cmd_ranktest(args) -> CommandOutput:
         assignments = TreatmentSequence(np.array(raw_t, dtype=np.int8), params)
         inputs.append(("assignments", args.assignments))
     elif args.seed is not None:
-        assignments = generate_sequence(n, params, args.seed)
+        assignments = generate_sequence(n, params, _seed_of(args))
         inputs.append(("seed", args.seed))
     if assignments is not None:
         if len(assignments) != n:
@@ -376,7 +383,7 @@ def _cmd_ranktest(args) -> CommandOutput:
         values.append(("z_score", w / sd if sd > 0 else math.nan))
         if args.reps is not None:
             pv = rank_pvalue_mc(
-                scores, w, params, args.reps, seed=args.seed if args.seed is not None else 0
+                scores, w, params, args.reps, seed=0 if args.seed is None else _seed_of(args)
             )
             values.append(("p_value_mc", pv))
             values.append(("replicates", args.reps))
@@ -397,7 +404,7 @@ def _cmd_simulate(args) -> CommandOutput:
         params,
         statistic,
         replicates=args.reps,
-        seed=args.seed,
+        seed=_seed_of(args),
         batch_size=args.batch_size,
     )
     exact = statistic.exact(args.n, params)

@@ -5,7 +5,10 @@ r of seed s is reproducible on any machine: stream (s, r) is
 `SeedSequence(s, spawn_key=(r,))`.  Monte Carlo runs split their
 replicates into fixed-size batches, one stream per batch, walked one at a
 time on the calling thread and merged in index order, so estimates are a
-pure function of (seed, replicates, batch_size).
+pure function of (seed, replicates, batch_size).  A walk reads the stream
+as raw 64-bit words and tests each against integer limits that take the
+same steps as comparing numpy's uniform double of that word with p, 1/2
+and q (`_word_limit`).
 
 `enumerate_exact` walks all 2^n assignment paths with their exact
 probabilities (n capped at 16, which stays under a second) and is the
@@ -49,12 +52,12 @@ __all__ = [
 
 ENUMERATION_CAP = 16
 DEFAULT_BATCH_SIZE = 1 << 16
-# A batch draws its uniforms in chunks of about this many bytes, but of at
-# least MC_CHUNK_MIN_ROWS runs, so that each step's few numpy calls act on
-# enough runs to amortize their fixed cost when n is large.
+# A batch draws its 64-bit words in chunks of about this many bytes, but of
+# at least MC_CHUNK_MIN_ROWS runs, so that each step's few numpy calls act
+# on enough runs to amortize their fixed cost when n is large.
 MC_CHUNK_BYTES = 1 << 22
 MC_CHUNK_MIN_ROWS = 1024
-# The most memory one batch may hold: its t and d and a chunk of uniforms.
+# The most memory one batch may hold: its t and d and a chunk of words.
 MC_BATCH_BYTES = 1 << 29
 
 
@@ -292,33 +295,47 @@ def _imbalance_dtype(n: int) -> np.dtype:
     return np.dtype(np.int16 if n < 32768 else np.int64)
 
 
+def _word_limit(x: float) -> int:
+    """The least raw Philox word whose uniform is not below x, 0 <= x <= 1.
+
+    numpy's Philox `random()` turns a word w into u = (w >> 11) * 2**-53,
+    so u < x exactly when w < ceil(x * 2**53) * 2**11 (x * 2**53 is exact).
+    At x = 1 that is 2**64, one past the largest word.
+    """
+    return math.ceil(x * 2.0**53) << 11
+
+
 def _simulate_batch(
     n: int, p: float, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`size` independent runs of length n, from size * n uniforms of rng.
+    """`size` independent runs of length n, from size * n raw words of rng.
 
-    Run r takes uniforms r*n .. r*n + n - 1 and step j goes up iff its
-    uniform lies below p, 1/2 or q as D_{j-1} < 0, = 0 or > 0.  Runs are
-    walked in row chunks of `_chunk_rows(n)`: consecutive draws continue
-    one stream, so the chunks see the uniforms of a single (size, n) draw.
-    Each chunk is turned step-major once, so every step reads and writes
-    contiguous vectors of runs.
+    Run r takes words r*n .. r*n + n - 1, and step j goes up iff its word's
+    uniform lies below p, 1/2 or q as D_{j-1} < 0, = 0 or > 0; the word is
+    tested against `_word_limit` of each, which is exact, so the steps are
+    those of `rng.random`'s doubles.  Runs are walked in row chunks of
+    `_chunk_rows(n)`: consecutive draws continue one stream, so the chunks
+    see the words of a single (size, n) draw.  Each chunk is turned
+    step-major once, so every step reads and writes contiguous vectors of
+    runs.
 
     t comes back as a C-ordered (size, n) int8 matrix.  d is the (size, n)
     transpose of a step-major matrix, int16 (int64 from n = 32768 on).
     """
-    q = 1.0 - p
+    # p's limit is 2**64 at p = 1, past uint64, so its test is w <= limit - 1
+    p_top = np.uint64(_word_limit(p) - 1)
+    half_lim, q_lim = np.uint64(_word_limit(0.5)), np.uint64(_word_limit(1.0 - p))
     t = np.empty((size, n), dtype=np.int8)
     d = np.empty((n, size), dtype=_imbalance_dtype(n))
     rows = _chunk_rows(n)
     for lo in range(0, size, rows):
         hi = min(lo + rows, size)
-        u = rng.random((hi - lo, n)).T
+        w = rng.bit_generator.random_raw((hi - lo, n)).T
         # code = 2 * #{u < p, u < 1/2, u < q} - 3 is odd, and as q <= 1/2 <= p
         # the step goes up iff code > 2 sign(D_{j-1})
-        code = (u < p).view(np.int8) + (u < 0.5).view(np.int8)
-        code += (u < q).view(np.int8)
-        del u  # the chunk's uniforms go before its steps are copied
+        code = (w <= p_top).view(np.int8) + (w < half_lim).view(np.int8)
+        code += (w < q_lim).view(np.int8)
+        del w  # the chunk's words go before its steps are copied
         steps = np.ascontiguousarray(code)
         steps += steps
         steps -= 3

@@ -385,6 +385,32 @@ def test_ranktest_generates_a_run_from_a_seed(tmp_path, capsys):
     assert "w_observed" in as_dict and "p_value_mc" in as_dict
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "4", "--p", "0.7", "--statistic", "balance", "--reps", "10"],
+    ["ranktest", "--scores", "{files}/scores.txt", "--p", "0.7"],
+    ["ranktest", "--scores", "{files}/scores.txt", "--p", "0.7", "--reps", "9"],
+    ["ranktest", "--scores", "{files}/scores.txt", "--p", "0.7", "--reps", "9",
+     "--assignments", "{files}/run.txt"],
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_negative_seed_is_refused_by_name(tmp_path, capsys, argv, fmt):
+    write_values(tmp_path / "scores.txt", [1, 2, 3])
+    write_values(tmp_path / "run.txt", [1, -1, 1])
+    argv = [arg.replace("{files}", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--seed", "-1", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --seed must be >= 0, got -1\n")
+
+
+def test_ranktest_ignores_a_negative_seed_beside_observed_assignments(tmp_path, capsys):
+    # the seed draws nothing here, so it is not refused
+    write_values(tmp_path / "scores.txt", [1, 2, 3])
+    write_values(tmp_path / "run.txt", [1, -1, 1])
+    argv = ["ranktest", "--scores", str(tmp_path / "scores.txt"), "--p", "0.7",
+            "--assignments", str(tmp_path / "run.txt")]
+    assert run_cli(capsys, *argv, "--seed", "-1") == run_cli(capsys, *argv)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
