@@ -47,21 +47,43 @@ from .simulate import (
 )
 from . import tables
 
-__all__ = ["FLOAT_SIGMA_N_CAP", "RATIONAL_N_CAP", "main"]
+__all__ = ["FLOAT_SIGMA_N_CAP", "RATIONAL_N_CAP", "STATIONARY_MAX_K", "main"]
 
 RATIONAL_N_CAP = 64
-# Largest float covariance matrix the CLI builds.  The Sigma rows cost
-# O(n^3) Python steps in all and each Jacobi sweep O(n^3) in numpy; at this
-# size `eigen --check-conjecture` takes up to 4 s (2-vCPU Xeon VM) and 45 MB.
-# Time sets the cap, not accuracy: the rows' closed-form scan rescales its
-# start terms and stays accurate up to SCAN_N_MAX.
+# Largest float covariance matrix the CLI builds.  Sigma's rows are n numpy
+# vector-matrix products and each Jacobi sweep is O(n^3) in numpy; at this
+# size `eigen --check-conjecture` took 1.7 to 3.3 s and 35 to 36 MB peak RSS
+# as a child process at p = 0.55, 0.7 and 0.9 (2-vCPU Xeon VM), nearly all
+# of it in the Jacobi sweeps.  Time sets the cap, not accuracy: the rows'
+# closed-form scan rescales its start terms and stays accurate up to
+# SCAN_N_MAX.
 FLOAT_SIGMA_N_CAP = 256
+# Largest float `stationary --max-k`.  At p = 0.5000001, where no mass
+# overflows, this many rows took 0.5 s and 41 MB peak RSS as CSV, and
+# 0.75 s and 54 MB as JSON, as a child process (2-vCPU Xeon VM), against
+# 29 MB for ten rows; every row costs about 0.6 KB.  Rational rows grow
+# in digits with k and stay under RATIONAL_N_CAP.
+STATIONARY_MAX_K = 20_000
+
+
+def _digits(x: int) -> int:
+    """Decimal digits of |x|, counted without converting it to text."""
+    x = abs(x)
+    d = max(1, int(x.bit_length() * math.log10(2)))
+    return d + (x >= 10**d)
 
 
 def _encode(value):
     """JSON-safe scalar; fractions become 'a/b' strings."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        try:
+            return f"{value.numerator}/{value.denominator}"
+        except ValueError:  # the interpreter's int-to-str digit limit
+            digits = max(_digits(value.numerator), _digits(value.denominator))
+            raise ValueError(
+                f"a rational value has {digits} digits, more than the "
+                f"{sys.get_int_max_str_digits()} that Python converts to text; use --mode float"
+            ) from None
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -116,8 +138,10 @@ def _params_of(args) -> DesignParams:
 
 def _check_rational_cap(args, n: int):
     if args.mode == "rational" and n > RATIONAL_N_CAP:
+        name = "--max-k" if args.command == "stationary" else "n"
         raise ValueError(
-            f"rational mode supports n <= {RATIONAL_N_CAP} (got n = {n}); use --mode float"
+            f"rational mode supports {name} <= {RATIONAL_N_CAP} (got {name} = {n}); "
+            "use --mode float"
         )
 
 
@@ -193,6 +217,12 @@ def _cmd_var(args) -> CommandOutput:
 def _cmd_stationary(args) -> CommandOutput:
     if args.max_k < 0:
         raise ValueError("max_k must be >= 0")
+    _check_rational_cap(args, args.max_k)
+    if args.mode == "float" and args.max_k > STATIONARY_MAX_K:
+        raise ValueError(
+            f"stationary supports --max-k <= {STATIONARY_MAX_K} in float mode "
+            f"(got --max-k = {args.max_k})"
+        )
     params = _params_of(args)
     dist = StationaryDist(params)
     ks = range(args.max_k + 1)
@@ -470,7 +500,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("stationary", help="steady-state imbalance distribution")
     sub.add_argument("--p", required=True)
-    sub.add_argument("--max-k", type=int, default=10)
+    sub.add_argument(
+        "--max-k",
+        type=int,
+        default=10,
+        help=f"last k printed, at most {STATIONARY_MAX_K} (float) or {RATIONAL_N_CAP} (rational)",
+    )
     _add_common(sub)
     sub.set_defaults(handler=_cmd_stationary)
 

@@ -25,7 +25,8 @@ at 4u for u steps, not the 4(u+|k|) of D_{u+|k|}.
 first-return masses: in float64 for a float p, and on integer numerators
 for a Fraction p = A/B, where every mass, first-return mass and t_k has a
 power of B or 2B as its denominator, so each entry is one Fraction.  Rows
-in both arithmetics take their weights from one `_row_weights`.
+in both arithmetics take their weights from one `_row_weights` and their
+first-return table from one `_first_returns`.
 
 sigma(n) always carries the vector v = (sqrt(2)/2, -sqrt(2)/2, 0, ..., 0)
 as an eigenvector with eigenvalue 2p; `verify_2p_eigenpair` measures the
@@ -37,6 +38,7 @@ against one).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -200,8 +202,8 @@ class AssignmentCovariance:
         return float(z @ a @ z)
 
 
-def _first_return_table(n: int, params: DesignParams) -> np.ndarray:
-    """F[m, u] = fhat_m(u) for 0 <= m, u < n, as cumulative sums over steps.
+def _first_returns(n: int, params: DesignParams):
+    """(F, top) with F[m, u] = fhat_m(u) * top for 0 <= m, u < n.
 
     Each row of first-return masses comes from the ratio recurrence
 
@@ -209,38 +211,32 @@ def _first_return_table(n: int, params: DesignParams) -> np.ndarray:
 
     with a = (l + m)/2 steps toward balance and b = (l - m)/2 away, so no
     binomial is ever formed.  Row 0 is the degenerate visit, fhat_0 = 1.
+    A float p runs it in float64 with top = 1.  A Fraction p = A/B runs
+    g_m(l) = f_m(l) B^l on integers, with A for p, A (B - A) for p q and
+    `//` for the division: the quotient is g_m(l + 2)/(A (B - A)), a ballot
+    number times a power of A and of B - A, so it divides exactly; then
+    top = B^(n-1).  Step b advances every row m with m + 2b < n at once,
+    so each float row makes its scalar loop's multiplies in that order.
     """
-    p, q = params.p, params.q
-    f = np.zeros((n, n))
-    f[0, 0] = 1.0
-    for m in range(1, n):
-        term = p**m
-        for l in range(m, n, 2):
-            f[m, l] = term
-            a, b = (l + m) // 2, (l - m) // 2
-            term = term * (l * (l + 1)) / ((a + 1) * (b + 1)) * (p * q)
-    return np.cumsum(f, axis=1)
-
-
-def _exact_first_returns(n: int, params: DesignParams) -> np.ndarray:
-    """G[m, u] = fhat_m(u) B^(n-1) as integers, for a Fraction p = A/B.
-
-    g_m(l) = f_m(l) B^l runs the recurrence of _first_return_table as
-    g_m(m) = A^m, g_m(l + 2) = g_m(l) l (l + 1) A Q / ((a + 1)(b + 1)),
-    which divides exactly (Q = B - A).
-    """
-    big_a, big_b = params.p.numerator, params.p.denominator
-    big_q = big_b - big_a
-    g = np.zeros((n, n), dtype=object)
-    g[0, 0] = 1
-    for m in range(1, n):
-        term = big_a**m
-        for l in range(m, n, 2):
-            g[m, l] = term
-            a, b = (l + m) // 2, (l - m) // 2
-            term = term * (l * (l + 1)) * big_a * big_q // ((a + 1) * (b + 1))
-    scale = np.array([big_b ** (n - 1 - l) for l in range(n)], dtype=object)
-    return np.cumsum(g * scale, axis=1)
+    if params.is_exact:
+        big_a, big_b = params.p.numerator, params.p.denominator
+        p, pq, div = big_a, big_a * (big_b - big_a), operator.floordiv
+        scale = np.array([big_b ** (n - 1 - l) for l in range(n)], dtype=object)
+    else:
+        p, pq, div = params.p, params.p * params.q, operator.truediv
+        scale = np.ones(n)
+    f = np.zeros((n, n), dtype=scale.dtype)
+    f[0, 0] = 1
+    k = np.arange(n + 1).astype(scale.dtype)  # Python ints for a Fraction p
+    rising = k * (k + 1)
+    term = np.array([p**j for j in range(1, n)], dtype=scale.dtype)  # a numpy power of A wraps
+    for b in range(n // 2):
+        lanes = n - 1 - 2 * b  # rows m = 1 .. lanes reach l = m + 2b < n
+        term = term[:lanes]
+        f.reshape(-1)[n + 1 + 2 * b :: n + 1][:lanes] = term  # f[m, m + 2b]
+        # l (l + 1) at l = m + 2b and a + 1 = m + b + 1, for m = 1 .. lanes
+        term = div(term * rising[1 + 2 * b : n], k[b + 2 : n + 1 - b] * (b + 1)) * pq
+    return np.cumsum(f * scale, axis=1), scale.item(0)
 
 
 def _row_weights(laws: np.ndarray, t_fair, t_up, t_down):
@@ -280,12 +276,13 @@ def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
 
     Row i above the diagonal is one vector-matrix product over the
     cumulative first-return table: sigma_{i, i+1+u} = 4 (w_i . F[:, u] +
-    c_i) - 1 for u = 0 .. n - i - 1, with w_i and c_i from `_row_weights`.
-    A float p builds it in float64 from one closed-form scan of the laws.
-    A Fraction p = A/B builds the same rows on integers: the laws times
-    (2B)^(i-1) from one `pmf_masses` call, T_k = 2B t_k (B, 2(B - A) or
-    2A) and G = F B^(n-1) (`_exact_first_returns`), so each entry is
-    x / den with den = (2B)^(i+1) B^(n-1): one Fraction per entry.  The
+    c_i) - 1 for u = 0 .. n - i - 1, with w_i and c_i from `_row_weights`
+    and F from `_first_returns` in the arithmetic of p.  A float p builds
+    it in float64 from one closed-form scan of the laws.  A Fraction
+    p = A/B builds the same rows on integers: the laws times (2B)^(i-1)
+    from one `pmf_masses` call, T_k = 2B t_k (B, 2(B - A) or 2A) and the
+    table times top = B^(n-1), so each entry is x / den with
+    den = (2B)^(i+1) B^(n-1): one Fraction per entry.  The
     lower triangle mirrors the upper one, so the matrix is exactly
     symmetric with an exact unit diagonal.  joint_assignment computes the
     same entries one at a time and is kept as the cross-check.
@@ -294,6 +291,7 @@ def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
         raise ValueError(f"n must be >= 1, got {n}")
     lane_m = [m for m in range(n - 1) for _ in range(m % 2, m + 1, 2)]
     lane_k = [k for m in range(n - 1) for k in range(m % 2, m + 1, 2)]
+    table, top = _first_returns(n, params)
     if params.is_exact:
         big_a, big_b = params.p.numerator, params.p.denominator
         laws = np.zeros((n - 1, n - 1), dtype=object)
@@ -301,14 +299,12 @@ def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
         for (m, k), mass in zip(points, pmf_masses(points, params)):
             laws[m, k] = (2 * big_b) ** m // mass.denominator * mass.numerator
         weights, consts = _row_weights(laws, big_b, 2 * (big_b - big_a), 2 * big_a)
-        table, top = _exact_first_returns(n, params), big_b ** (n - 1)
         out = np.full((n, n), Fraction(1))
     else:
         laws = np.zeros((n - 1, n - 1))
         laws[lane_m, lane_k] = _two_sided_scan(lane_m, lane_k, params.p)
         laws[:, 1:] /= 2
         weights, consts = _row_weights(laws, params.half, params.q, params.p)
-        table, top = _first_return_table(n, params), 1.0
         out = np.ones((n, n))
     for i in range(1, n):
         m = slice(i % 2, i + 1, 2)

@@ -92,10 +92,6 @@ class FactoredProduct:
 
     parts: tuple[float, ...]
 
-    @property
-    def value(self) -> float:
-        return math.prod(self.parts)
-
     def frexp(self) -> tuple[float, int]:
         """(mantissa, exponent) with value == mantissa * 2**exponent."""
         mant, exp = 1.0, 0
@@ -104,9 +100,6 @@ class FactoredProduct:
             mant, e = math.frexp(mant)
             exp += e
         return mant, exp
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def stable_term_product(

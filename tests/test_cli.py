@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
 from fractions import Fraction
 from pathlib import Path
@@ -10,7 +13,7 @@ import pytest
 
 import bcdexact.cli
 import bcdexact.covariance
-from bcdexact.cli import FLOAT_SIGMA_N_CAP, RATIONAL_N_CAP, main
+from bcdexact.cli import FLOAT_SIGMA_N_CAP, RATIONAL_N_CAP, STATIONARY_MAX_K, main
 from bcdexact.covariance import (
     ConvergenceError,
     eigen_spectrum,
@@ -20,6 +23,7 @@ from bcdexact.covariance import (
 )
 from bcdexact.design import DesignParams
 from bcdexact.exact import SCAN_N_MAX
+from test_mc_walk import LAUNCHER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,6 +181,95 @@ def test_stationary_refuses_a_negative_max_k(capsys, fmt):
     code, out, err = run_cli(capsys, "stationary", "--p", "0.7", "--max-k", "-1", "--format", fmt)
     assert (code, out) == (2, "")
     assert err.startswith("error: max_k must be >= 0\n")
+
+
+def run_child(*args):
+    """Exit code, wall time and peak RSS in KiB of `bcdexact.cli *args` as a child process."""
+    src = Path(bcdexact.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "bcdexact.cli", *args]
+    done = subprocess.run([sys.executable, "-c", LAUNCHER, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, wall, maxrss_kb = done.stdout.splitlines()[-1].split()
+    return int(code), float(wall), int(maxrss_kb)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_float_stationary_at_its_cap_stays_within_time_and_memory(fmt):
+    # measured 0.3 to 0.56 s and 41 MB as CSV, 0.75 s and 54 MB as JSON
+    # (2-vCPU Xeon VM); ten rows take 29 MB.  p = 0.5000001 never overflows.
+    argv = ["stationary", "--p", "0.5000001", "--format", fmt]
+    code, wall, maxrss_kb = run_child(*argv, "--max-k", str(STATIONARY_MAX_K))
+    assert code == 0
+    assert wall < 3.0, wall
+    assert maxrss_kb < 100 * 1024, maxrss_kb
+    code, wall, maxrss_kb = run_child(*argv, "--max-k", str(STATIONARY_MAX_K + 1))
+    assert code == 2
+    assert wall < 2.0, wall
+    assert maxrss_kb < 60 * 1024, maxrss_kb
+
+
+def test_rational_stationary_at_its_cap_stays_within_time_and_memory():
+    # the digits of rational rows grow with k: at p = 7/10, --max-k 4000
+    # took 1.1 s and 81 MB and 5000 took 2.0 s and 112 MB; 64 takes 0.3 s
+    # and 29 MB (2-vCPU Xeon VM)
+    argv = ["stationary", "--p", "7/10", "--mode", "rational", "--format", "json"]
+    code, wall, maxrss_kb = run_child(*argv, "--max-k", str(RATIONAL_N_CAP))
+    assert code == 0
+    assert wall < 2.0, wall
+    assert maxrss_kb < 60 * 1024, maxrss_kb
+    code, wall, maxrss_kb = run_child(*argv, "--max-k", "5000")
+    assert code == 2
+    assert wall < 2.0, wall
+    assert maxrss_kb < 60 * 1024, maxrss_kb
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["--p", "0.5000001", "--max-k", str(STATIONARY_MAX_K + 1)],
+         f"stationary supports --max-k <= {STATIONARY_MAX_K} in float mode "
+         f"(got --max-k = {STATIONARY_MAX_K + 1})"),
+        (["--p", "7/10", "--max-k", str(RATIONAL_N_CAP + 1), "--mode", "rational"],
+         f"rational mode supports --max-k <= {RATIONAL_N_CAP} "
+         f"(got --max-k = {RATIONAL_N_CAP + 1}); use --mode float"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stationary_above_its_cap_is_refused_before_any_row(capsys, monkeypatch, argv, named, fmt):
+    def refuse(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(bcdexact.cli, "StationaryDist", refuse)
+    code, out, err = run_cli(capsys, "stationary", *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named}\n")
+
+
+def test_stationary_help_names_both_caps(capsys):
+    with pytest.raises(SystemExit):
+        main(["stationary", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"at most {STATIONARY_MAX_K} (float) or {RATIONAL_N_CAP} (rational)" in out
+
+
+# p = (5 10^499 + 1)/10^500: the values of n = 10 have more digits than
+# Python converts to text by default
+LONG_P = f"{5 * 10**499 + 1}/{10**500}"
+
+
+@pytest.mark.parametrize("command,digits", [("pmf", 4501), ("var", 4500)])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_rational_value_too_long_to_print_is_refused_by_name(capsys, command, digits, fmt):
+    code, out, err = run_cli(capsys, command, "--n", "10", "--p", LONG_P, "--mode", "rational",
+                             "--format", fmt)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(
+        f"error: a rational value has {digits} digits, more than the {limit} that Python "
+        "converts to text; use --mode float\n"
+    ), err
 
 
 def test_accidental_bias_defaults_to_the_worst_case_vector(capsys):

@@ -16,7 +16,7 @@ from bcdexact.covariance import (
     AssignmentCovariance,
     ConvergenceError,
     FirstVisitTable,
-    _first_return_table,
+    _first_returns,
     _round_robin,
     _row_weights,
     cond_assignment,
@@ -237,11 +237,65 @@ def test_row_sources_hold_at_the_float_size_cap(p):
             want = oracle.two_sided(k)
             if want >= 1e-290:
                 assert abs(got - want) <= 1e-12 * want, (m, k)
-    table = _first_return_table(FLOAT_SIGMA_N_CAP, params)
+    table, _ = _first_returns(FLOAT_SIGMA_N_CAP, params)
     visits = FirstVisitTable(params)
     top = FLOAT_SIGMA_N_CAP - 1
     for m, u in [(1, 0), (1, 1), (1, 2), (2, 40), (7, 99), (30, top), (128, top), (top, top)]:
         assert table[m, u] == pytest.approx(visits.f_hat(m, u), rel=1e-12, abs=1e-300), (m, u)
+
+
+def scalar_first_returns(n, params):
+    """F[m, u] = fhat_m(u) in float64, one row of the ratio recurrence at a time."""
+    p, q = params.p, params.q
+    f = np.zeros((n, n))
+    f[0, 0] = 1.0
+    for m in range(1, n):
+        term = p**m
+        for l in range(m, n, 2):
+            f[m, l] = term
+            a, b = (l + m) // 2, (l - m) // 2
+            term = term * (l * (l + 1)) / ((a + 1) * (b + 1)) * (p * q)
+    return np.cumsum(f, axis=1)
+
+
+def scalar_exact_first_returns(n, params):
+    """G[m, u] = fhat_m(u) B^(n-1) on integers for p = A/B, one row at a time."""
+    big_a, big_b = params.p.numerator, params.p.denominator
+    big_q = big_b - big_a
+    g = np.zeros((n, n), dtype=object)
+    g[0, 0] = 1
+    for m in range(1, n):
+        term = big_a**m
+        for l in range(m, n, 2):
+            g[m, l] = term
+            a, b = (l + m) // 2, (l - m) // 2
+            term = term * (l * (l + 1)) * big_a * big_q // ((a + 1) * (b + 1))
+    scale = np.array([big_b ** (n - 1 - l) for l in range(n)], dtype=object)
+    return np.cumsum(g * scale, axis=1)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.55, 0.7, 0.713, 0.9, 0.99, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 13, 64, 255, 256])
+def test_float_first_returns_keep_the_scalar_loops_bits(n, p):
+    params = DesignParams(p)
+    table, top = _first_returns(n, params)
+    assert top == 1
+    assert table.dtype == np.float64
+    assert table.tobytes() == scalar_first_returns(n, params).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(1, 2), Fraction(51, 100), Fraction(7, 10), Fraction(713, 1000), Fraction(1)],
+    ids=str,
+)
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 32, 64])
+def test_rational_first_returns_equal_the_scalar_loop(n, p):
+    params = DesignParams(p)
+    table, top = _first_returns(n, params)
+    assert type(top) is int and top == p.denominator ** (n - 1)
+    assert table.shape == (n, n)
+    assert all(type(x) is int for x in table.flat)
+    assert list(table.flat) == list(scalar_exact_first_returns(n, params).flat)
 
 
 @pytest.mark.parametrize(

@@ -83,13 +83,6 @@ def test_underflowing_tail_returns_a_factored_product():
     assert 0.5 <= abs(mantissa) < 1.0
     # value is 1e-600: exponent base 2 is about -600 * log2(10)
     assert exponent == pytest.approx(-600 * math.log2(10), abs=2)
-    assert float(result) == 0.0  # not representable as one float64
-
-
-def test_factored_product_value_of_representable_parts():
-    fp = FactoredProduct(parts=(0.5, 0.5))
-    assert fp.value == 0.25
-    assert float(fp) == 0.25
 
 
 def test_sum_term_values_plain_floats():
