@@ -16,6 +16,8 @@ balance (permuted blocks of two).
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -109,15 +111,26 @@ class DesignParams:
 
 
 def parse_probability(text: str, exact: bool = False) -> Number:
-    """Parse '0.7' or '2/3' into a float, or an exact Fraction if requested."""
+    """Parse '0.7' or '2/3' into a float, or an exact Fraction if requested.
+
+    A message echoes at most the first 40 characters of text.
+    """
+    shown = repr(text) if len(text) <= 40 else f"{text[:40]!r}..."
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as err:
-        raise ValueError(f"cannot parse probability {text!r}") from err
+        # the interpreter parses at most this many digits per integer
+        limit = sys.get_int_max_str_digits()
+        digits = max((len(run.replace("_", "")) for run in re.findall(r"[\d_]+", text)),
+                     default=0)
+        if limit and digits > limit:
+            raise ValueError(f"probability {shown} has a run of {digits} digits, more than "
+                             f"the {limit} Python parses as one number") from None
+        raise ValueError(f"cannot parse probability {shown}") from err
     try:
         return value if exact else float(value)
     except OverflowError as err:
-        raise ValueError(f"probability {text!r} is out of range") from err
+        raise ValueError(f"probability {shown} is out of range") from err
 
 
 def transition_prob(params: DesignParams, imbalance: int):

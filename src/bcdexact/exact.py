@@ -64,12 +64,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # closed-form point masses
 
-# Float calls with fewer summands than this take the per-term kernel: it
-# beats the replay on a single mass up to about 130 summands (n = 260) and
-# on a whole law up to about 120 (n = 28), p = 0.55 to 0.9 (2-vCPU Xeon VM).
-SCALAR_LANES = 128
-
-
 def term_factors(
     n: int, k: int, l: int, params: DesignParams
 ) -> tuple[list[float], list[float]]:
@@ -147,14 +141,12 @@ def pmf_at(n: int, k: int, params: DesignParams) -> Number:
 def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[Number]:
     """P(D_n = k) for each (n, k) of points, in order, from the closed form.
 
-    A Fraction p sums each point in integers (`_exact_mass`).  A float call
-    with fewer than SCALAR_LANES summands evaluates them one by one
-    through the per-term kernel (`_term`), which costs less there than the
-    replay's per-step numpy calls.  A larger float call replays the guarded kernel on the
-    summands of whole points, at most LANE_BATCH of them at a time
-    (`_replayed_masses`), so its working set stays bounded however many
-    points it asks for.  Every float mass is the same float the kernel
-    gives summand by summand in the window M = 4n.
+    A Fraction p sums each point in integers (`_exact_mass`).  A float p
+    replays the guarded kernel on the summands of whole points, at most
+    LANE_BATCH of them at a time (`_replayed_masses`), so its working set
+    stays bounded however many points a call asks for.  Every float mass
+    is the same float the kernel gives summand by summand in the window
+    M = 4n.
     """
     masses: list = []
     wanted = []  # (index, n, k, last summand l)
@@ -181,10 +173,6 @@ def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[
     if params.is_exact:
         for i, nj, kj, count in zip(index, n, k, counts):
             masses[i] = _exact_mass(nj, kj, count, params)
-        return masses
-    if sum(counts) < SCALAR_LANES:
-        for i, nj, kj, count in zip(index, n, k, counts):
-            masses[i] = stable.sum_term_values(_term(nj, kj, l, params, nj) for l in range(count))
         return masses
     # whole points, in the fewest chunks of at most LANE_BATCH summands,
     # each filled up to about an equal share of the call's summands

@@ -13,7 +13,14 @@ import pytest
 
 import bcdexact.cli
 import bcdexact.covariance
-from bcdexact.cli import FLOAT_SIGMA_N_CAP, RATIONAL_N_CAP, STATIONARY_MAX_K, main
+import bcdexact.simulate
+from bcdexact.cli import (
+    FLOAT_SIGMA_N_CAP,
+    RATIONAL_N_CAP,
+    SIMULATE_N_CAPS,
+    STATIONARY_MAX_K,
+    main,
+)
 from bcdexact.covariance import (
     ConvergenceError,
     eigen_spectrum,
@@ -270,6 +277,24 @@ def test_a_rational_value_too_long_to_print_is_refused_by_name(capsys, command, 
         f"error: a rational value has {digits} digits, more than the {limit} that Python "
         "converts to text; use --mode float\n"
     ), err
+
+
+# 5,000 decimal digits: more than Python parses as one integer by default
+MANY_DIGITS_P = "0." + "5" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--n", "2", "--p", MANY_DIGITS_P],
+    ["pmf", "--n", "2", "--p", MANY_DIGITS_P, "--mode", "rational"],
+    ["threshold", "--p", f"0.7,{MANY_DIGITS_P}"],
+], ids=["float", "rational", "threshold list"])
+def test_a_probability_with_too_many_digits_is_refused_by_its_count(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert err.startswith(f"error: probability {MANY_DIGITS_P[:40]!r}... has a run of 5000 "
+                          f"digits, more than the {limit} Python parses as one number\n"), err
+    assert len(err) < 300
 
 
 def test_accidental_bias_defaults_to_the_worst_case_vector(capsys):
@@ -547,6 +572,26 @@ def test_simulate_walks_its_batches_on_the_calling_thread(capsys, monkeypatch, t
     monkeypatch.setattr(threading.Thread, "start", no_thread)
     flag = [] if threads is None else ["--threads", threads]
     assert run_cli(capsys, *argv, *flag) == serial
+
+
+def refuse_to_run(*args):
+    raise AssertionError("a run over the cap was started")
+
+
+@pytest.mark.parametrize("statistic", sorted(SIMULATE_N_CAPS))
+def test_simulate_refuses_n_over_its_statistic_cap_before_any_work(capsys, monkeypatch,
+                                                                   statistic):
+    for name in ("_simulate_batch", "pmf_at", "var_dn", "selection_bias_step"):
+        monkeypatch.setattr(bcdexact.simulate, name, refuse_to_run)
+    cap = SIMULATE_N_CAPS[statistic]
+    code, out, err = run_cli(capsys, "simulate", "--n", str(cap + 1), "--p", "0.7",
+                             "--statistic", statistic, "--reps", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: simulate --statistic {statistic} supports n <= {cap} "
+                          f"(got n = {cap + 1})\n")
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert f"{statistic} (n <= {cap})" in " ".join(capsys.readouterr().out.split())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ come back without a change to this file."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,11 @@ import pytest
 import bcdexact
 from bcdexact.design import DesignParams
 from bcdexact.simulate import enumerate_exact, stat_balance
+
+# the (module, attribute) pairs the benchmark's tracer rebinds and its
+# tests check it restores
+TRACED = [("exact", "pmf_at"), ("bias", "pmf_at"), ("covariance", "pmf_dn"),
+          ("covariance", "first_visit"), ("cli", "sigma"), ("cli", "eigen_spectrum")]
 
 MODULES = ["bcdexact"] + [
     f"bcdexact.{info.name}" for info in pkgutil.iter_modules(bcdexact.__path__)
@@ -45,6 +52,28 @@ def test_the_benchmark_oracle_call_stays_exact():
     # bench/checks.py passes the mode positionally, by name
     value = enumerate_exact(3, DesignParams(Fraction(7, 10)), stat_balance(), "rational")
     assert type(value) is Fraction
+
+
+def load_bench_module(name, monkeypatch):
+    """bench/<name>.py as a fresh module, leaving no bytecode under bench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_loads_and_finds_what_it_traces_and_calls(monkeypatch):
+    checks = load_bench_module("checks", monkeypatch)
+    load_bench_module("tracing", monkeypatch)
+    missing = [(module, attr) for module, attr in TRACED
+               if not callable(getattr(importlib.import_module(f"bcdexact.{module}"), attr, None))]
+    assert missing == []
+    # bench/checks.py enumerates a covariance entry in rational mode;
+    # sigma(1, 2) = 1 - 2p
+    value = checks.enumerate_exact(3, DesignParams(Fraction(7, 10)), checks.stat_product(1, 2),
+                                   "rational")
+    assert value == Fraction(-2, 5) and type(value) is Fraction
 
 
 def test_no_package_module_starts_threads_or_processes():

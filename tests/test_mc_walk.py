@@ -203,7 +203,8 @@ def refuse_to_walk(*args):
 def test_a_batch_over_the_memory_bound_exits_2_before_it_is_walked(capsys, monkeypatch):
     # t, d (int64 here) and a chunk of uniforms would take 3.4 GB
     monkeypatch.setattr(bcdexact.simulate, "_simulate_batch", refuse_to_walk)
-    code = main(["simulate", "--n", "100000000", "--p", "0.7", "--statistic", "balance",
+    # cov(i,j) has no n cap, so the batch bound is what refuses it
+    code = main(["simulate", "--n", "100000000", "--p", "0.7", "--statistic", "cov(1,2)",
                  "--reps", "2"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""

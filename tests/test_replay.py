@@ -177,30 +177,28 @@ def test_replay_equals_the_kernel_on_random_summands():
                 assert value == want, (term, p)
 
 
-def test_small_calls_take_the_scalar_kernel_with_the_replay_bits(monkeypatch):
+def test_small_calls_replay_with_the_per_term_bits(monkeypatch):
     points = [(n, k) for n in (1, 2, 3, 8, 40, 41, 80, 150) for k in (0, 1, 2, 5, n)]
     cases = [DesignParams(p) for p in (0.5, 0.501, 0.7, 0.999, 1.0)]
     calls = []
     monkeypatch.setattr(bcdexact.exact, "replay_term_products",
                         lambda *args: calls.append(1) or replay_term_products(*args))
-    scalar = [[pmf_at(n, k, params) for n, k in points] for params in cases]
-    assert calls == []
     # one of these summands banks: the only one of P(D_150 = 150) at
     # p = 0.999, about q^149 = 1e-447
     assert isinstance(stable_term_product(*term_factors(150, 150, 0, DesignParams(0.999)),
                                           600.0), FactoredProduct)
-    monkeypatch.setattr(bcdexact.exact, "SCALAR_LANES", 0)
-    replayed = [[pmf_at(n, k, params) for n, k in points] for params in cases]
-    assert calls
-    assert replayed == scalar
+    for params in cases:
+        for n, k in points:
+            before = len(calls)
+            assert pmf_at(n, k, params) == per_term_mass(n, k, params), (n, k, params.p)
+            # every point on the support replays
+            assert len(calls) - before == (k <= n and (n - k) % 2 == 0), (n, k, params.p)
 
 
-def test_a_large_call_forced_through_the_scalar_kernel_keeps_its_bits(monkeypatch):
+def test_a_large_call_at_p_near_1_equals_the_per_term_kernel():
     params = DesignParams(0.999)
     points = [(n, k) for n in (57, 200) for k in range(n % 2, n + 1, 2)]
-    replayed = pmf_masses(points, params)
-    monkeypatch.setattr(bcdexact.exact, "SCALAR_LANES", 1 << 30)
-    assert pmf_masses(points, params) == replayed
+    assert pmf_masses(points, params) == [per_term_mass(n, k, params) for n, k in points]
 
 
 # the default ladders of table2 (even and odd n) and table3
