@@ -149,27 +149,25 @@ def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[
     M = 4n.
     """
     masses: list = []
-    wanted = []  # (index, n, k, last summand l)
+    wanted = []  # (index, n, k, summands)
+    q = params.q
     for n, k in points:
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         k = abs(k)
-        if k > n or (n - k) % 2:
+        # at q == 0 only the summand free of q is nonzero, and only for k <= 1
+        if k > n or (n - k) % 2 or not (q or k <= 1):
             masses.append(params.zero)
         elif n == 0:
             masses.append(params.one)
         else:
-            upper = (n - k) // 2 if k > 0 else n // 2 - 1
-            wanted.append((len(masses), n, k, upper))
+            upper = (n - k) // 2 if k > 0 else n // 2 - 1  # last summand l
+            wanted.append((len(masses), n, k, upper + 1 if q else 1))
             masses.append(None)
     if not wanted:
         return masses
 
-    q = params.q
-    index, n, k, upper = zip(*wanted)
-    # lanes l = 0 .. upper of each point; at q == 0 only the summand free
-    # of q is nonzero, and only for k <= 1
-    counts = [u + 1 if q else int(kj <= 1) for kj, u in zip(k, upper)]
+    index, n, k, counts = zip(*wanted)
     if params.is_exact:
         for i, nj, kj, count in zip(index, n, k, counts):
             masses[i] = _exact_mass(nj, kj, count, params)

@@ -8,7 +8,9 @@ time on the calling thread and merged in index order, so estimates are a
 pure function of (seed, replicates, batch_size).  A walk reads the stream
 as raw 64-bit words and tests each against integer limits that take the
 same steps as comparing numpy's uniform double of that word with p, 1/2
-and q (`_word_limit`).
+and q (`_word_limit`).  A batch is walked and consumed one row chunk at a
+time (`_walk_chunks`): each chunk's paths become one float64 value per
+run, so a batch holds one chunk of paths and its vector of values.
 
 `enumerate_exact` walks all 2^n assignment paths with their exact
 probabilities (n capped at 16, which stays under a second) and is the
@@ -57,7 +59,8 @@ DEFAULT_BATCH_SIZE = 1 << 16
 # on enough runs to amortize their fixed cost when n is large.
 MC_CHUNK_BYTES = 1 << 22
 MC_CHUNK_MIN_ROWS = 1024
-# The most memory one batch may hold: its t and d and a chunk of words.
+# The most memory one batch may hold: one chunk of words, t and d, and a
+# value per run.
 MC_BATCH_BYTES = 1 << 29
 
 
@@ -111,10 +114,12 @@ class PathStatistic:
 
     per_path sees a single path as index-able sequences and should return
     an int/Fraction when exact enumeration matters.  per_batch, when given,
-    maps the (replicates x n) assignment and imbalance matrices to a vector
-    of values and keeps Monte Carlo fully vectorized; the imbalance matrix
-    it gets may be int16, so it widens before arithmetic that can leave
-    that range (per_path gets int64 rows).  exact, when given,
+    maps the (runs x n) assignment and imbalance matrices of a row chunk of
+    a Monte Carlo batch to one value per run and keeps Monte Carlo
+    vectorized.  It sees one chunk at a time, so each run's value must come
+    from that run's own row alone; the four named statistics do.  The
+    imbalance matrix it gets may be int16, so it widens before arithmetic
+    that can leave that range (per_path gets int64 rows).  exact, when given,
     maps (n, params) to the statistic's expectation from the closed forms.
     """
 
@@ -286,12 +291,16 @@ class McEstimate:
 
 
 def _chunk_rows(n: int) -> int:
-    """Runs of length n that `_simulate_batch` walks together."""
-    return max(MC_CHUNK_BYTES // (8 * n), MC_CHUNK_MIN_ROWS)
+    """Runs of length n that `_walk_chunks` walks together, a multiple of 4.
+
+    Each run reads only its own n words, so the chunk size moves no bit of
+    t or d; the multiple of 4 keeps `rank_pvalue_mc`'s row blocks aligned.
+    """
+    return max(MC_CHUNK_BYTES // (8 * n) // 4 * 4, MC_CHUNK_MIN_ROWS)
 
 
 def _imbalance_dtype(n: int) -> np.dtype:
-    """The narrowest integer type of `_simulate_batch`'s d that holds +-n."""
+    """The narrowest integer type of the walk's d that holds +-n."""
     return np.dtype(np.int16 if n < 32768 else np.int64)
 
 
@@ -305,32 +314,32 @@ def _word_limit(x: float) -> int:
     return math.ceil(x * 2.0**53) << 11
 
 
-def _simulate_batch(
-    n: int, p: float, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """`size` independent runs of length n, from size * n raw words of rng.
+def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int):
+    """Yield (t, d) of `size` independent runs of length n, one row chunk at a time.
 
-    Run r takes words r*n .. r*n + n - 1, and step j goes up iff its word's
-    uniform lies below p, 1/2 or q as D_{j-1} < 0, = 0 or > 0; the word is
-    tested against `_word_limit` of each, which is exact, so the steps are
-    those of `rng.random`'s doubles.  Runs are walked in row chunks of
-    `_chunk_rows(n)`: consecutive draws continue one stream, so the chunks
-    see the words of a single (size, n) draw.  Each chunk is turned
-    step-major once, so every step reads and writes contiguous vectors of
-    runs.
+    Run r takes words r*n .. r*n + n - 1 of rng's raw words, and step j goes
+    up iff its word's uniform lies below p, 1/2 or q as D_{j-1} < 0, = 0 or
+    > 0; the word is tested against `_word_limit` of each, which is exact,
+    so the steps are those of `rng.random`'s doubles.  Chunks hold
+    `_chunk_rows(n)` runs (the last one fewer): consecutive draws continue
+    one stream, so the chunks see the words of a single (size, n) draw.
+    Each chunk is turned step-major once, so every step reads and writes
+    contiguous vectors of runs.
 
-    t comes back as a C-ordered (size, n) int8 matrix.  d is the (size, n)
-    transpose of a step-major matrix, int16 (int64 from n = 32768 on).
+    t is a C-ordered (rows, n) int8 matrix and d the (rows, n) transpose of
+    a step-major matrix, int16 (int64 from n = 32768 on).  Both are views of
+    two buffers allocated once and overwritten by the next chunk, so a
+    caller reads each chunk before it asks for the next.
     """
     # p's limit is 2**64 at p = 1, past uint64, so its test is w <= limit - 1
     p_top = np.uint64(_word_limit(p) - 1)
     half_lim, q_lim = np.uint64(_word_limit(0.5)), np.uint64(_word_limit(1.0 - p))
-    t = np.empty((size, n), dtype=np.int8)
-    d = np.empty((n, size), dtype=_imbalance_dtype(n))
-    rows = _chunk_rows(n)
+    rows = min(_chunk_rows(n), size)
+    t = np.empty((rows, n), dtype=np.int8)
+    d = np.empty((n, rows), dtype=_imbalance_dtype(n))
     for lo in range(0, size, rows):
-        hi = min(lo + rows, size)
-        w = rng.bit_generator.random_raw((hi - lo, n)).T
+        m = min(rows, size - lo)
+        w = rng.bit_generator.random_raw((m, n)).T
         # code = 2 * #{u < p, u < 1/2, u < q} - 3 is odd, and as q <= 1/2 <= p
         # the step goes up iff code > 2 sign(D_{j-1})
         code = (w <= p_top).view(np.int8) + (w < half_lim).view(np.int8)
@@ -339,16 +348,35 @@ def _simulate_batch(
         steps = np.ascontiguousarray(code)
         steps += steps
         steps -= 3
-        sign = np.zeros(hi - lo, dtype=np.int8)
-        prev = np.zeros(hi - lo, dtype=d.dtype)
+        sign = np.zeros(m, dtype=np.int8)
+        prev = np.zeros(m, dtype=d.dtype)
         for j in range(n):
             step = steps[j]
             step -= sign
             step -= sign
             np.sign(step, out=step)
-            prev = np.add(prev, step, out=d[j, lo:hi])
+            prev = np.add(prev, step, out=d[j, :m])
             np.sign(prev, out=sign, casting="unsafe")
-        t[lo:hi] = steps.T
+        t[:m] = steps.T
+        yield t[:m], d[:, :m].T
+
+
+def _simulate_batch(
+    n: int, p: float, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, d) of `size` runs of length n, assembled from `_walk_chunks`.
+
+    t comes back as a C-ordered (size, n) int8 matrix.  d is the (size, n)
+    transpose of a step-major matrix, int16 (int64 from n = 32768 on).
+    """
+    t = np.empty((size, n), dtype=np.int8)
+    d = np.empty((n, size), dtype=_imbalance_dtype(n))
+    lo = 0
+    for t_chunk, d_chunk in _walk_chunks(n, p, rng, size):
+        hi = lo + t_chunk.shape[0]
+        t[lo:hi] = t_chunk
+        d[:, lo:hi] = d_chunk.T
+        lo = hi
     return t, d.T
 
 
@@ -363,21 +391,36 @@ def _batch_sizes(replicates: int, batch_size: int) -> list[int]:
     return [batch_size] * full + ([rest] if rest else [])
 
 
-def _over_batches(n, params, seed, sizes, per_batch) -> list:
-    """per_batch(t, d) of each batch of runs, batch b walked on stream (seed, b).
+def _over_batches(n, params, seed, sizes, chunk_values):
+    """The per-run values of each batch, batch b walked on stream (seed, b).
 
-    The batches are walked one at a time on the calling thread, so a run
-    holds one batch at a time.  A batch that would hold more than
-    MC_BATCH_BYTES is refused before any is walked.
+    chunk_values(t, d) gives one float per run of a row chunk of the walk
+    (`_walk_chunks`), computed from that run's own row, and the chunks fill
+    one float64 vector per batch.  The batches are walked one at a time on
+    the calling thread, each as its vector is asked for, so a run holds one
+    batch at a time.  A batch that would hold more than MC_BATCH_BYTES is
+    refused here, before any is walked: it holds one chunk of raw words
+    (8 B a cell), the chunk's t and d (1 B and the imbalance type's width a
+    cell) and its per-run values (8 B a run).
     """
     size = max(sizes, default=0)
-    need = size * n * (1 + _imbalance_dtype(n).itemsize) + 8 * min(size, _chunk_rows(n)) * n
+    cells = min(size, _chunk_rows(n)) * n
+    need = cells * (9 + _imbalance_dtype(n).itemsize) + 8 * size
     if need > MC_BATCH_BYTES:
         raise ValueError(f"a batch of {size} runs of n = {n} needs {need} bytes, over "
                          f"the {MC_BATCH_BYTES} a batch may hold; use a smaller --batch-size")
     p = float(params.p)
-    return [per_batch(*_simulate_batch(n, p, _stream(seed, b), rows))
-            for b, rows in enumerate(sizes)]
+
+    def walk(b: int, runs: int) -> np.ndarray:
+        values = np.empty(runs)
+        lo = 0
+        for t, d in _walk_chunks(n, p, _stream(seed, b), runs):
+            hi = lo + t.shape[0]
+            values[lo:hi] = chunk_values(t, d)
+            lo = hi
+        return values
+
+    return (walk(b, runs) for b, runs in enumerate(sizes))
 
 
 def mc_estimate(
@@ -402,11 +445,8 @@ def mc_estimate(
     sizes = _batch_sizes(replicates, batch_size)
     stat = _coerce_statistic(statistic)
 
-    def moments(t, d) -> tuple[float, float]:
-        values = stat.batch_values(t, d)
-        return float(values.sum()), float((values * values).sum())
-
-    partials = _over_batches(n, params, seed, sizes, moments)
+    partials = [(float(values.sum()), float((values * values).sum()))
+                for values in _over_batches(n, params, seed, sizes, stat.batch_values)]
     total = math.fsum(s for s, _ in partials)
     total_sq = math.fsum(s2 for _, s2 in partials)
     mean = total / replicates
@@ -507,9 +547,17 @@ def rank_pvalue_mc(
     if replicates < 1:
         raise ValueError("need at least 1 replicate")
 
-    def hits(t, _d) -> int:
-        w = t.astype(float) @ a
-        return int(np.count_nonzero(np.abs(w) >= abs(observed) - 1e-12))
+    # w of up to 2**17 cells at a time, in blocks of a multiple of 4 rows:
+    # OpenBLAS (0.3.31, Haswell kernel) gives each row the bits of the
+    # whole-batch product when its block starts at a multiple of 4, and runs
+    # a block this small on the calling thread
+    block = max((1 << 17) // a.size // 4 * 4, 4)
+
+    def w(t, _d) -> np.ndarray:
+        return np.concatenate([t[lo:lo + block].astype(float) @ a
+                               for lo in range(0, t.shape[0], block)])
 
     sizes = _batch_sizes(replicates, batch_size)
-    return (sum(_over_batches(a.size, params, seed, sizes, hits)) + 1) / (replicates + 1)
+    hits = sum(int(np.count_nonzero(np.abs(values) >= abs(observed) - 1e-12))
+               for values in _over_batches(a.size, params, seed, sizes, w))
+    return (hits + 1) / (replicates + 1)

@@ -581,7 +581,7 @@ def refuse_to_run(*args):
 @pytest.mark.parametrize("statistic", sorted(SIMULATE_N_CAPS))
 def test_simulate_refuses_n_over_its_statistic_cap_before_any_work(capsys, monkeypatch,
                                                                    statistic):
-    for name in ("_simulate_batch", "pmf_at", "var_dn", "selection_bias_step"):
+    for name in ("_walk_chunks", "pmf_at", "var_dn", "selection_bias_step"):
         monkeypatch.setattr(bcdexact.simulate, name, refuse_to_run)
     cap = SIMULATE_N_CAPS[statistic]
     code, out, err = run_cli(capsys, "simulate", "--n", str(cap + 1), "--p", "0.7",

@@ -7,6 +7,7 @@ come back without a change to this file."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ import pytest
 
 import bcdexact
 from bcdexact.design import DesignParams
-from bcdexact.simulate import enumerate_exact, stat_balance
+from bcdexact.simulate import enumerate_exact, mc_estimate, rank_pvalue_mc, stat_balance
 
 # the (module, attribute) pairs the benchmark's tracer rebinds and its
 # tests check it restores
@@ -69,6 +70,10 @@ def test_the_benchmark_loads_and_finds_what_it_traces_and_calls(monkeypatch):
     missing = [(module, attr) for module, attr in TRACED
                if not callable(getattr(importlib.import_module(f"bcdexact.{module}"), attr, None))]
     assert missing == []
+    # bench/tracing.py's _sizes reads these arguments of the traced calls by name
+    for function, names in [(mc_estimate, {"n", "replicates", "batch_size"}),
+                            (rank_pvalue_mc, {"scores", "replicates", "batch_size"})]:
+        assert names <= set(inspect.signature(function).parameters), function.__name__
     # bench/checks.py enumerates a covariance entry in rational mode;
     # sigma(1, 2) = 1 - 2p
     value = checks.enumerate_exact(3, DesignParams(Fraction(7, 10)), checks.stat_product(1, 2),

@@ -4,6 +4,9 @@
 chunked: one (size, n) draw, then every step reads a strided column.  The
 chunked walk must draw the same uniforms and take the same steps, so every
 comparison here is `==`, on the paths and on what is computed from them.
+`lockstep_chunks` hands the lock-step batch out in the walk's row chunks,
+so the estimates and p-values, which consume the walk chunk by chunk, can
+be computed from it too.
 `stepwise_sequence` is the one-run walk that `generate_sequence` ran on its
 own before it became a batch of one, and checks it the same way.
 """
@@ -11,15 +14,17 @@ own before it became a batch of one, and checks it the same way.
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bcdexact.simulate
-from bcdexact.cli import main
+from bcdexact.cli import FLOAT_SIGMA_N_CAP, SIMULATE_N_CAPS, main
 from bcdexact.design import DesignParams
 from bcdexact.simulate import (
+    DEFAULT_BATCH_SIZE,
     PathStatistic,
     _chunk_rows,
     _over_batches,
@@ -46,6 +51,14 @@ def lockstep_batch(n, p, rng, size):
         d += col
         d_mat[:, j] = d
     return t, d_mat
+
+
+def lockstep_chunks(n, p, rng, size):
+    """The lock-step batch in the row chunks of `_walk_chunks`."""
+    t, d = lockstep_batch(n, p, rng, size)
+    rows = _chunk_rows(n)
+    for lo in range(0, size, rows):
+        yield t[lo:lo + rows], d[lo:lo + rows]
 
 
 def stepwise_sequence(n, p, seed):
@@ -117,8 +130,41 @@ def test_rank_pvalue_is_unchanged(monkeypatch):
     a = np.random.default_rng(5).normal(size=30)
     args = (a, 1.5, DesignParams(0.62), 20_000, 3)
     chunked = rank_pvalue_mc(*args, batch_size=7000)
-    monkeypatch.setattr(bcdexact.simulate, "_simulate_batch", lockstep_batch)
+    monkeypatch.setattr(bcdexact.simulate, "_walk_chunks", lockstep_chunks)
     assert rank_pvalue_mc(*args, batch_size=7000) == chunked
+
+
+def test_chunks_hold_a_multiple_of_4_runs():
+    # so every row block of the rank product starts at a multiple of 4
+    top = max(*SIMULATE_N_CAPS.values(), FLOAT_SIGMA_N_CAP, 40_000)
+    assert [n for n in range(1, top + 1) if _chunk_rows(n) % 4] == []
+
+
+@pytest.mark.parametrize("n", [29, 101, 256])
+def test_rank_blocks_give_the_whole_batch_product(monkeypatch, n):
+    # the last batch holds 34,465 runs, not a multiple of 4
+    a = np.random.default_rng(n).normal(size=n)
+    observed, reps, seed = 0.8 * np.sqrt(n), 100_001, 6
+    seen = []  # w of each batch, as rank_pvalue_mc computed it
+    over_batches = bcdexact.simulate._over_batches
+
+    def recording(*args):
+        for values in over_batches(*args):
+            seen.append(values.copy())
+            yield values
+
+    monkeypatch.setattr(bcdexact.simulate, "_over_batches", recording)
+    pvalue = rank_pvalue_mc(a, observed, DesignParams(0.7), reps, seed)
+    sizes = [DEFAULT_BATCH_SIZE, reps - DEFAULT_BATCH_SIZE]
+    assert [w.size for w in seen] == sizes and sizes[1] % 4 == 1
+    hits = 0
+    for b, (size, w) in enumerate(zip(sizes, seen)):
+        t, _ = _simulate_batch(n, 0.7, _stream(seed, b), size)
+        whole = t.astype(float) @ a
+        assert np.array_equal(w, whole), (n, b)
+        hits += int(np.count_nonzero(np.abs(whole) >= observed - 1e-12))
+    assert 0 < hits < reps
+    assert pvalue == (hits + 1) / (reps + 1)
 
 
 def last_square_plus_first(t, d):
@@ -132,7 +178,7 @@ def test_seeded_estimates_are_unchanged(monkeypatch, text, n, batch):
     run = dict(n=n, params=DesignParams(0.58), statistic=stat, replicates=12_000,
                seed=99, batch_size=batch)
     chunked = mc_estimate(**run)
-    monkeypatch.setattr(bcdexact.simulate, "_simulate_batch", lockstep_batch)
+    monkeypatch.setattr(bcdexact.simulate, "_walk_chunks", lockstep_chunks)
     assert mc_estimate(**run) == chunked
 
 
@@ -175,13 +221,14 @@ def run_measured(*args):
 
 
 def test_simulate_at_n_1000_stays_within_its_time_and_memory_bound():
-    # measured 2.6 to 3.3 s and 237 MB over 10 runs (2-vCPU Xeon VM);
-    # the lock-step walk took 4.6 to 4.8 s and 1.66 GB.  The bounds leave
-    # the chunked walk 1.5x its slowest time and 2.5x its peak.
+    # measured 1.8 to 2.5 s and 52.6 MB over 3 runs, batches consumed chunk
+    # by chunk (2-vCPU Xeon VM); 2.2 to 2.5 s and 236.5 MB holding each
+    # batch's t and d whole, and 4.6 to 4.8 s and 1.66 GB for the lock-step
+    # walk.  The bounds leave 2x its slowest time and 2.5x its peak.
     out, wall, maxrss_kb = run_measured("simulate", "--n", "1000", "--p", "0.7", "--statistic",
                                         "balance", "--reps", "100000", "--seed", "1")
     assert out[:2] == ["label,value", "estimate,0.5726"]
-    assert maxrss_kb < 600 * 1024, maxrss_kb
+    assert maxrss_kb < 132 * 1024, maxrss_kb
     assert wall < 5.0, wall
 
 
@@ -201,31 +248,61 @@ def refuse_to_walk(*args):
 
 
 def test_a_batch_over_the_memory_bound_exits_2_before_it_is_walked(capsys, monkeypatch):
-    # t, d (int64 here) and a chunk of uniforms would take 3.4 GB
-    monkeypatch.setattr(bcdexact.simulate, "_simulate_batch", refuse_to_walk)
+    # its one chunk of 2 runs: words, t and d (int64 here) at 17 B a cell
+    # and 8 B a run, 3.4 GB
+    monkeypatch.setattr(bcdexact.simulate, "_walk_chunks", refuse_to_walk)
     # cov(i,j) has no n cap, so the batch bound is what refuses it
     code = main(["simulate", "--n", "100000000", "--p", "0.7", "--statistic", "cov(1,2)",
                  "--reps", "2"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert "needs 3400000000 bytes" in err and "--batch-size" in err
+    assert "needs 3400000016 bytes" in err and "--batch-size" in err
 
 
-# (n, runs in the batch, fits): the default batch up to n = 2621; around the
-# int16 to int64 switch of d at n = 32768, below one chunk of uniforms
+# (n, runs in the batch, fits): with one chunk of t and d counted, the
+# default batch fits up to n = 32767, where d turns int64; below one chunk,
+# each run's 8 B of values counts too
 @pytest.mark.parametrize("n,size,fits", [
-    (1000, 65536, True), (2621, 65536, True), (2622, 65536, False),
-    (32767, 2730, True), (32767, 2731, False), (32768, 963, True), (32768, 964, False),
+    (1000, 65536, True), (2621, 65536, True), (2622, 65536, True), (32767, 65536, True),
+    (32768, 65536, False), (32767, 2730, True), (32767, 2731, True), (32768, 963, True),
+    (32768, 964, False), (6316127, 5, True), (6316128, 5, False),
 ])
 def test_the_batch_bound_counts_t_d_and_a_chunk_of_uniforms(monkeypatch, n, size, fits):
     walked = []
-    monkeypatch.setattr(bcdexact.simulate, "_simulate_batch",
-                        lambda n, p, rng, size: walked.append(size) or (None, None))
+    monkeypatch.setattr(bcdexact.simulate, "_walk_chunks",
+                        lambda n, p, rng, size: walked.append(size) or iter(()))
     sizes = [size, 3]  # the largest batch sets the bound
     if fits:
-        assert _over_batches(n, DesignParams(0.7), 0, sizes, lambda t, d: 0) == [0, 0]
+        batches = _over_batches(n, DesignParams(0.7), 0, sizes, lambda t, d: 0)
+        assert [values.size for values in batches] == sizes
         assert walked == sizes
     else:
         with pytest.raises(ValueError, match="use a smaller --batch-size"):
             _over_batches(n, DesignParams(0.7), 0, sizes, lambda t, d: 0)
         assert walked == []
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak in bytes while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,run", [
+    (1000, lambda: mc_estimate(1000, DesignParams(0.7), parse_statistic("balance", 1000),
+                               DEFAULT_BATCH_SIZE, seed=1)),
+    (256, lambda: rank_pvalue_mc(np.random.default_rng(1).normal(size=256), 3.0,
+                                 DesignParams(0.7), DEFAULT_BATCH_SIZE, seed=1)),
+], ids=["mc_estimate", "rank_pvalue_mc"])
+def test_a_batch_holds_one_chunk_and_its_values(n, run):
+    # one chunk's words, t and d at 11 B a cell plus 8 B a run: 11.8 MB at
+    # n = 1000 and 6.3 MB at n = 256.  Measured peaks 17.7 and 8.9 MB (the
+    # chunk's compare temporaries and steps, and a rank block); the whole
+    # batch's t, d and values took 211 and 185 MB.  2x leaves headroom.
+    one_chunk = _chunk_rows(n) * n * 11 + 8 * DEFAULT_BATCH_SIZE
+    peak = traced_peak(run)
+    assert peak < 2 * one_chunk, (peak, one_chunk)

@@ -191,8 +191,9 @@ def test_small_calls_replay_with_the_per_term_bits(monkeypatch):
         for n, k in points:
             before = len(calls)
             assert pmf_at(n, k, params) == per_term_mass(n, k, params), (n, k, params.p)
-            # every point on the support replays
-            assert len(calls) - before == (k <= n and (n - k) % 2 == 0), (n, k, params.p)
+            # every point with a summand replays; at p = 1 those with k >= 2 have none
+            has_summand = k <= n and (n - k) % 2 == 0 and (params.q > 0 or k <= 1)
+            assert len(calls) - before == has_summand, (n, k, params.p)
 
 
 def test_a_large_call_at_p_near_1_equals_the_per_term_kernel():
