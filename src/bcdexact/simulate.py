@@ -9,12 +9,14 @@ pure function of (seed, replicates, batch_size).  A walk reads the stream
 as raw 64-bit words and tests each against integer limits that take the
 same steps as comparing numpy's uniform double of that word with p, 1/2
 and q (`_word_limit`).  A batch is walked and consumed one row chunk at a
-time (`_walk_chunks`): each chunk's paths become one float64 value per
-run, so a batch holds one chunk of paths and its vector of values.
+time (`_walk_chunks`), which stops at the last step its statistic reads:
+each chunk's paths become one float64 value per run, so a batch holds one
+chunk of paths and its vector of values.
 
-`enumerate_exact` walks all 2^n assignment paths with their exact
-probabilities (n capped at 16, which stays under a second) and is the
-brute-force oracle the closed-form results are tested against.
+A statistic is written once, as `PathStatistic.per_batch`.
+`enumerate_exact` scores all 2^n assignment paths with it and sums them
+with their exact probabilities (n capped at 16, under a second); it is
+the brute-force oracle the closed-form results are tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -59,8 +61,8 @@ DEFAULT_BATCH_SIZE = 1 << 16
 # on enough runs to amortize their fixed cost when n is large.
 MC_CHUNK_BYTES = 1 << 22
 MC_CHUNK_MIN_ROWS = 1024
-# The most memory one batch may hold: one chunk of words, t and d, and a
-# value per run.
+# The most memory one batch may hold, as `_over_batches` counts it: one
+# chunk of words, its step codes and compares, t and d, and values per run.
 MC_BATCH_BYTES = 1 << 29
 
 
@@ -94,14 +96,11 @@ def _stream(seed: int, index: int | None = None) -> np.random.Generator:
 
 
 def generate_sequence(n: int, params: DesignParams, seed: int) -> TreatmentSequence:
-    """Simulate one biased-coin run of length n, deterministic in seed.
-
-    It is the one run of a Monte Carlo batch walked on the stream (seed).
-    """
+    """One biased-coin run of length n: a Monte Carlo batch of one on stream (seed)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    t, _ = _simulate_batch(n, float(params.p), _stream(seed), 1)
-    return TreatmentSequence(assignments=t[0], params=params, seed=seed)
+    (t, _), = _walk_chunks(n, float(params.p), _stream(seed), 1)
+    return TreatmentSequence(assignments=t[0].copy(), params=params, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -112,37 +111,23 @@ def generate_sequence(n: int, params: DesignParams, seed: int) -> TreatmentSeque
 class PathStatistic:
     """A functional of one assignment path (t_1..t_n, d_1..d_n).
 
-    per_path sees a single path as index-able sequences and should return
-    an int/Fraction when exact enumeration matters.  per_batch, when given,
-    maps the (runs x n) assignment and imbalance matrices of a row chunk of
-    a Monte Carlo batch to one value per run and keeps Monte Carlo
-    vectorized.  It sees one chunk at a time, so each run's value must come
-    from that run's own row alone; the four named statistics do.  The
-    imbalance matrix it gets may be int16, so it widens before arithmetic
-    that can leave that range (per_path gets int64 rows).  exact, when given,
-    maps (n, params) to the statistic's expectation from the closed forms.
+    per_batch maps the (runs x steps) assignment and imbalance matrices of
+    a Monte Carlo row chunk, or of every path in `enumerate_exact`, to one
+    dyadic float per run from that run's own row; the oracle reads each
+    exactly.  d may be int16, so per_batch widens before arithmetic that
+    can leave that range.  last_step, when given, is the last step it reads
+    (its matrices may end there); exact maps (n, params) to the expectation.
     """
 
     name: str
-    per_path: Callable[[Sequence[int], Sequence[int]], Number]
-    per_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    per_batch: Callable[[np.ndarray, np.ndarray], np.ndarray]
     exact: Callable[[int, DesignParams], float] | None = None
-
-    def batch_values(self, t: np.ndarray, d: np.ndarray) -> np.ndarray:
-        if self.per_batch is not None:
-            return np.asarray(self.per_batch(t, d), dtype=float)
-        # a narrow d row would wrap in per_path's own arithmetic (d * d)
-        return np.array(
-            [float(self.per_path(t[i], d[i].astype(np.int64))) for i in range(t.shape[0])]
-        )
+    last_step: int | None = None
 
 
 def _coerce_statistic(statistic) -> PathStatistic:
     if isinstance(statistic, PathStatistic):
         return statistic
-    if callable(statistic):
-        return PathStatistic(name=getattr(statistic, "__name__", "statistic"),
-                             per_path=statistic)
     raise TypeError(f"not a statistic: {statistic!r}")
 
 
@@ -150,7 +135,6 @@ def stat_balance() -> PathStatistic:
     """Indicator of perfect terminal balance, D_n == 0."""
     return PathStatistic(
         name="balance",
-        per_path=lambda t, d: 1 if d[-1] == 0 else 0,
         per_batch=lambda t, d: (d[:, -1] == 0).astype(float),
         exact=lambda n, params: float(pmf_at(n, 0, params)),
     )
@@ -160,7 +144,6 @@ def stat_imbalance_sq() -> PathStatistic:
     """D_n squared; its mean is Var(D_n)."""
     return PathStatistic(
         name="variance",
-        per_path=lambda t, d: d[-1] * d[-1],
         per_batch=lambda t, d: (d[:, -1].astype(float)) ** 2,
         exact=lambda n, params: float(var_dn(n, params)),
     )
@@ -172,9 +155,9 @@ def stat_product(i: int, j: int) -> PathStatistic:
         raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
     return PathStatistic(
         name=f"cov({i},{j})",
-        per_path=lambda t, d: t[i - 1] * t[j - 1],
         per_batch=lambda t, d: (t[:, i - 1] * t[:, j - 1]).astype(float),
         exact=lambda n, params: 4.0 * joint_assignment(i, j, params) - 1.0,
+        last_step=j,
     )
 
 
@@ -188,12 +171,6 @@ def stat_correct_guess(j: int) -> PathStatistic:
     if j < 1:
         raise ValueError(f"draw index must be >= 1, got {j}")
 
-    def per_path(t, d):
-        prev = d[j - 2] if j >= 2 else 0
-        if prev == 0:
-            return Fraction(1, 2)
-        return 1 if (t[j - 1] > 0) == (prev < 0) else 0
-
     def per_batch(t, d):
         prev = d[:, j - 2] if j >= 2 else np.zeros(t.shape[0], dtype=np.int64)
         correct = (t[:, j - 1] > 0) == (prev < 0)
@@ -201,7 +178,6 @@ def stat_correct_guess(j: int) -> PathStatistic:
 
     return PathStatistic(
         name=f"guess@{j}",
-        per_path=per_path,
         per_batch=per_batch,
         exact=lambda n, params: float(selection_bias_step(j, params)),
     )
@@ -238,14 +214,16 @@ def parse_statistic(text: str, n: int) -> PathStatistic:
 def enumerate_exact(
     n: int,
     params: DesignParams,
-    statistic,
+    statistic: PathStatistic,
     mode: NumericMode | str = FLOAT64_STABLE,
 ) -> Number:
     """E[statistic] by summing all 2^n paths with their exact weights.
 
     Exponential on purpose; n is capped at ENUMERATION_CAP.  Rational mode
-    refuses a float p and, with an int/Fraction-valued statistic, is exact;
-    float mode rounds p and q each to float64.
+    refuses a float p and is exact; float mode rounds p and q each to
+    float64.  Paths grow one step at a time, +1 first, so they come in
+    depth-first order, and a path of weight zero (at p = 1) is dropped.
+    per_batch scores them all at once; weight * value is summed in order.
     """
     mode = NumericMode.coerce(mode)
     if not 1 <= n <= ENUMERATION_CAP:
@@ -254,26 +232,23 @@ def enumerate_exact(
     if mode.is_exact:
         params = params.as_exact()  # refuses a float p
     cast = Fraction if mode.is_exact else float
-    p, q, half = cast(params.p), cast(params.q), cast(Fraction(1, 2))
+    # (up, down) step probabilities at sign(D) + 1: p below zero, 1/2 at it, q above
+    moves = [(up, 1 - up) for up in map(cast, (params.p, Fraction(1, 2), params.q))]
+
+    t = np.zeros((1, 0), dtype=np.int8)
+    weights = [cast(1)]
+    for _ in range(n):
+        signs = np.sign(t.sum(axis=1)) + 1
+        children = [w * s for w, k in zip(weights, signs.tolist()) for s in moves[k]]
+        live = np.array([bool(w) for w in children])
+        step = np.tile(np.array([1, -1], dtype=np.int8), len(weights))
+        t = np.column_stack((np.repeat(t, 2, axis=0), step))[live]
+        weights = [w for w in children if w]
+
+    values = stat.per_batch(t, np.cumsum(t, axis=1))
     total = cast(0)
-
-    t_path = [0] * n
-    d_path = [0] * n
-
-    def walk(depth: int, d: int, weight):
-        nonlocal total
-        if depth == n:
-            total += weight * stat.per_path(t_path, d_path)
-            return
-        up = half if d == 0 else (p if d < 0 else q)
-        for t, w in ((1, up), (-1, 1 - up)):
-            if not w:
-                continue
-            t_path[depth] = t
-            d_path[depth] = d + t
-            walk(depth + 1, d + t, weight * w)
-
-    walk(0, 0, cast(1))
+    for w, v in zip(weights, values.tolist()):
+        total += w * cast(v)
     return total
 
 
@@ -314,70 +289,55 @@ def _word_limit(x: float) -> int:
     return math.ceil(x * 2.0**53) << 11
 
 
-def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int):
+def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int,
+                 steps: int | None = None):
     """Yield (t, d) of `size` independent runs of length n, one row chunk at a time.
 
     Run r takes words r*n .. r*n + n - 1 of rng's raw words, and step j goes
     up iff its word's uniform lies below p, 1/2 or q as D_{j-1} < 0, = 0 or
     > 0; the word is tested against `_word_limit` of each, which is exact,
-    so the steps are those of `rng.random`'s doubles.  Chunks hold
-    `_chunk_rows(n)` runs (the last one fewer): consecutive draws continue
-    one stream, so the chunks see the words of a single (size, n) draw.
-    Each chunk is turned step-major once, so every step reads and writes
-    contiguous vectors of runs.
+    so the steps are those of `rng.random`'s doubles.  Only the first
+    `steps` steps (default n) are walked, but each run draws its n words.
+    Chunks hold `_chunk_rows(n)` runs (the last one fewer): consecutive
+    draws continue one stream, so the chunks see the words of a single
+    (size, n) draw.  Each chunk is turned step-major once, so every step
+    reads and writes contiguous vectors of runs.
 
-    t is a C-ordered (rows, n) int8 matrix and d the (rows, n) transpose of
-    a step-major matrix, int16 (int64 from n = 32768 on).  Both are views of
-    two buffers allocated once and overwritten by the next chunk, so a
-    caller reads each chunk before it asks for the next.
+    t is a C-ordered (rows, steps) int8 matrix and d the (rows, steps)
+    transpose of a step-major matrix, int16 (int64 from n = 32768 on).  Both
+    are views of two buffers allocated once and overwritten by the next
+    chunk, so a caller reads each chunk before it asks for the next.
     """
+    steps = n if steps is None else steps
     # p's limit is 2**64 at p = 1, past uint64, so its test is w <= limit - 1
     p_top = np.uint64(_word_limit(p) - 1)
     half_lim, q_lim = np.uint64(_word_limit(0.5)), np.uint64(_word_limit(1.0 - p))
     rows = min(_chunk_rows(n), size)
-    t = np.empty((rows, n), dtype=np.int8)
-    d = np.empty((n, rows), dtype=_imbalance_dtype(n))
+    t = np.empty((rows, steps), dtype=np.int8)
+    d = np.empty((steps, rows), dtype=_imbalance_dtype(n))
     for lo in range(0, size, rows):
         m = min(rows, size - lo)
-        w = rng.bit_generator.random_raw((m, n)).T
+        w = rng.bit_generator.random_raw((m, n))[:, :steps].T
         # code = 2 * #{u < p, u < 1/2, u < q} - 3 is odd, and as q <= 1/2 <= p
         # the step goes up iff code > 2 sign(D_{j-1})
-        code = (w <= p_top).view(np.int8) + (w < half_lim).view(np.int8)
+        code = (w <= p_top).view(np.int8)
+        code += (w < half_lim).view(np.int8)
         code += (w < q_lim).view(np.int8)
         del w  # the chunk's words go before its steps are copied
-        steps = np.ascontiguousarray(code)
-        steps += steps
-        steps -= 3
+        code = np.ascontiguousarray(code)
+        code += code
+        code -= 3
         sign = np.zeros(m, dtype=np.int8)
         prev = np.zeros(m, dtype=d.dtype)
-        for j in range(n):
-            step = steps[j]
+        for j, step in enumerate(code):
             step -= sign
             step -= sign
             np.sign(step, out=step)
             prev = np.add(prev, step, out=d[j, :m])
             np.sign(prev, out=sign, casting="unsafe")
-        t[:m] = steps.T
+        t[:m] = code.T
+        del code, step  # before the next chunk's words are drawn
         yield t[:m], d[:, :m].T
-
-
-def _simulate_batch(
-    n: int, p: float, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (t, d) of `size` runs of length n, assembled from `_walk_chunks`.
-
-    t comes back as a C-ordered (size, n) int8 matrix.  d is the (size, n)
-    transpose of a step-major matrix, int16 (int64 from n = 32768 on).
-    """
-    t = np.empty((size, n), dtype=np.int8)
-    d = np.empty((n, size), dtype=_imbalance_dtype(n))
-    lo = 0
-    for t_chunk, d_chunk in _walk_chunks(n, p, rng, size):
-        hi = lo + t_chunk.shape[0]
-        t[lo:hi] = t_chunk
-        d[:, lo:hi] = d_chunk.T
-        lo = hi
-    return t, d.T
 
 
 def _batch_sizes(replicates: int, batch_size: int) -> list[int]:
@@ -391,21 +351,22 @@ def _batch_sizes(replicates: int, batch_size: int) -> list[int]:
     return [batch_size] * full + ([rest] if rest else [])
 
 
-def _over_batches(n, params, seed, sizes, chunk_values):
+def _over_batches(n, params, seed, sizes, chunk_values, steps=None):
     """The per-run values of each batch, batch b walked on stream (seed, b).
 
     chunk_values(t, d) gives one float per run of a row chunk of the walk
-    (`_walk_chunks`), computed from that run's own row, and the chunks fill
-    one float64 vector per batch.  The batches are walked one at a time on
-    the calling thread, each as its vector is asked for, so a run holds one
-    batch at a time.  A batch that would hold more than MC_BATCH_BYTES is
-    refused here, before any is walked: it holds one chunk of raw words
-    (8 B a cell), the chunk's t and d (1 B and the imbalance type's width a
-    cell) and its per-run values (8 B a run).
+    (`_walk_chunks` to step `steps`), computed from that run's own row, and
+    the chunks fill one float64 vector per batch.  The batches are walked
+    one at a time on the calling thread, each as its vector is asked for.
+    A batch over MC_BATCH_BYTES is refused before any is walked.  It peaks
+    while a chunk of raw words (8 B a cell) is compared, beside its step
+    codes and one compare (1 B a cell each), t and d (1 B and d's width),
+    and the values of this batch and the last, which the caller holds
+    until this one is yielded (8 B a run each).
     """
     size = max(sizes, default=0)
     cells = min(size, _chunk_rows(n)) * n
-    need = cells * (9 + _imbalance_dtype(n).itemsize) + 8 * size
+    need = cells * (11 + _imbalance_dtype(n).itemsize) + 16 * size
     if need > MC_BATCH_BYTES:
         raise ValueError(f"a batch of {size} runs of n = {n} needs {need} bytes, over "
                          f"the {MC_BATCH_BYTES} a batch may hold; use a smaller --batch-size")
@@ -414,7 +375,7 @@ def _over_batches(n, params, seed, sizes, chunk_values):
     def walk(b: int, runs: int) -> np.ndarray:
         values = np.empty(runs)
         lo = 0
-        for t, d in _walk_chunks(n, p, _stream(seed, b), runs):
+        for t, d in _walk_chunks(n, p, _stream(seed, b), runs, steps):
             hi = lo + t.shape[0]
             values[lo:hi] = chunk_values(t, d)
             lo = hi
@@ -426,7 +387,7 @@ def _over_batches(n, params, seed, sizes, chunk_values):
 def mc_estimate(
     n: int,
     params: DesignParams,
-    statistic,
+    statistic: PathStatistic,
     replicates: int,
     seed: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
@@ -444,9 +405,8 @@ def mc_estimate(
         raise ValueError("need at least 2 replicates")
     sizes = _batch_sizes(replicates, batch_size)
     stat = _coerce_statistic(statistic)
-
-    partials = [(float(values.sum()), float((values * values).sum()))
-                for values in _over_batches(n, params, seed, sizes, stat.batch_values)]
+    batches = _over_batches(n, params, seed, sizes, stat.per_batch, stat.last_step)
+    partials = [(float(values.sum()), float((values * values).sum())) for values in batches]
     total = math.fsum(s for s, _ in partials)
     total_sq = math.fsum(s2 for _, s2 in partials)
     mean = total / replicates

@@ -1,8 +1,9 @@
 """Every name a module exports resolves, so a deleted helper cannot stay
 exported, and every name the benchmark harness imports resolves, so a
-deleted helper it needs fails here and not only in a benchmark run.  No
-package module imports a thread or process pool, so concurrency cannot
-come back without a change to this file."""
+deleted helper it needs fails here and not only in a benchmark run; the
+harness's own check passes on `simulate` output, so a broken oracle or
+walk fails here too.  No package module imports a thread or process pool,
+so concurrency cannot come back without a change to this file."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import bcdexact
+from bcdexact.cli import main
 from bcdexact.design import DesignParams
 from bcdexact.simulate import enumerate_exact, mc_estimate, rank_pvalue_mc, stat_balance
 
@@ -60,12 +62,15 @@ def load_bench_module(name, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up in sys.modules while it is defined
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_the_benchmark_loads_and_finds_what_it_traces_and_calls(monkeypatch):
+def test_the_benchmark_loads_and_finds_what_it_traces_and_calls(capsys, monkeypatch):
     checks = load_bench_module("checks", monkeypatch)
+    workloads = load_bench_module("workloads", monkeypatch)
     load_bench_module("tracing", monkeypatch)
     missing = [(module, attr) for module, attr in TRACED
                if not callable(getattr(importlib.import_module(f"bcdexact.{module}"), attr, None))]
@@ -79,6 +84,16 @@ def test_the_benchmark_loads_and_finds_what_it_traces_and_calls(monkeypatch):
     value = checks.enumerate_exact(3, DesignParams(Fraction(7, 10)), checks.stat_product(1, 2),
                                    "rational")
     assert value == Fraction(-2, 5) and type(value) is Fraction
+    # bench/checks.py checks simulate jobs of the montecarlo sizes against the
+    # 2^j oracle (cov) and the forward recurrence (balance), and the z score
+    for kind, n, statistic in [("simulate:cov", 40, "cov(3,9)"),
+                               ("simulate:balance", 80, "balance")]:
+        argv = ("simulate", "--n", str(n), "--p", "0.613", "--statistic", statistic,
+                "--reps", "4000", "--seed", "5")
+        assert main(list(argv)) == 0
+        job = workloads.Job(kind, argv, n, "0.613", reps=4000)
+        health = checks.check_simulate(job, capsys.readouterr().out)
+        assert 0 <= health["simulate.max_abs_z"] <= checks.MAX_ABS_Z
 
 
 def test_no_package_module_starts_threads_or_processes():

@@ -1,12 +1,13 @@
 """The chunked, step-major Monte Carlo walk against the lock-step one.
 
-`lockstep_batch` below is `_simulate_batch` as it was before the walk went
-chunked: one (size, n) draw, then every step reads a strided column.  The
-chunked walk must draw the same uniforms and take the same steps, so every
-comparison here is `==`, on the paths and on what is computed from them.
-`lockstep_chunks` hands the lock-step batch out in the walk's row chunks,
-so the estimates and p-values, which consume the walk chunk by chunk, can
-be computed from it too.
+`lockstep_batch` below is the batch walk as it was before it went chunked:
+one (size, n) draw, then every step reads a strided column.  The chunked
+walk (`_walk_chunks`, stacked whole by `walked`) must draw the same
+uniforms and take the same steps, so every comparison here is `==`, on the
+paths and on what is computed from them.  `lockstep_chunks` hands the
+lock-step batch out in the walk's row chunks, always all n steps wide, so
+the estimates and p-values, which consume the walk chunk by chunk and may
+stop it early, can be computed from it too.
 `stepwise_sequence` is the one-run walk that `generate_sequence` ran on its
 own before it became a batch of one, and checks it the same way.
 """
@@ -28,12 +29,16 @@ from bcdexact.simulate import (
     PathStatistic,
     _chunk_rows,
     _over_batches,
-    _simulate_batch,
     _stream,
+    _walk_chunks,
     generate_sequence,
     mc_estimate,
     parse_statistic,
     rank_pvalue_mc,
+    stat_balance,
+    stat_correct_guess,
+    stat_imbalance_sq,
+    stat_product,
 )
 
 
@@ -53,12 +58,22 @@ def lockstep_batch(n, p, rng, size):
     return t, d_mat
 
 
-def lockstep_chunks(n, p, rng, size):
-    """The lock-step batch in the row chunks of `_walk_chunks`."""
+def lockstep_chunks(n, p, rng, size, steps=None):
+    """The lock-step batch of all n steps in the row chunks of `_walk_chunks`."""
     t, d = lockstep_batch(n, p, rng, size)
     rows = _chunk_rows(n)
     for lo in range(0, size, rows):
         yield t[lo:lo + rows], d[lo:lo + rows]
+
+
+def walked(n, p, rng, size, steps=None):
+    """The (size, steps) t and d of `_walk_chunks`, its chunks stacked."""
+    chunks = []
+    for t, d in _walk_chunks(n, p, rng, size, steps):
+        assert t.dtype == np.int8 and t.flags.c_contiguous
+        assert t.shape == d.shape == (t.shape[0], n if steps is None else steps)
+        chunks.append((t.copy(), d.copy()))
+    return np.concatenate([t for t, _ in chunks]), np.concatenate([d for _, d in chunks])
 
 
 def stepwise_sequence(n, p, seed):
@@ -96,9 +111,8 @@ def test_chunked_walk_equals_the_lockstep_walk(n):
         # one large lock-step batch are the lock-step batch of that size
         want_t, want_d = lockstep_batch(n, p, _stream(n, 3), sizes[-1])
         for size in sizes:
-            t, d = _simulate_batch(n, p, _stream(n, 3), size)
+            t, d = walked(n, p, _stream(n, 3), size)
             assert t.shape == d.shape == (size, n)
-            assert t.dtype == np.int8 and t.flags.c_contiguous
             assert np.array_equal(t, want_t[:size]), (n, p, size)
             assert np.array_equal(d, want_d[:size]), (n, p, size)
 
@@ -109,20 +123,32 @@ def test_a_small_lockstep_batch_is_a_prefix_of_a_large_one():
     assert all(np.array_equal(a, b[:100]) for a, b in zip(small, large))
 
 
+@pytest.mark.parametrize("n,steps", [(40, 1), (40, 17), (301, 2), (301, 150), (2000, 1999)])
+def test_a_walk_stopped_early_takes_the_first_steps_of_the_whole_walk(n, steps):
+    # each run still draws its n words, so the next run's words stay its own
+    rows = _chunk_rows(n)
+    for p in PS:
+        for size in (7, rows + 3):
+            t, d = walked(n, p, _stream(n, 5), size, steps)
+            want_t, want_d = walked(n, p, _stream(n, 5), size)
+            assert np.array_equal(t, want_t[:, :steps]), (n, p, size)
+            assert np.array_equal(d, want_d[:, :steps]), (n, p, size)
+
+
 def test_imbalance_is_narrow_until_n_reaches_32768():
-    assert _simulate_batch(300, 0.7, _stream(0), 5)[1].dtype == np.int16
-    t, d = _simulate_batch(32768, 0.7, _stream(0), 2)
+    assert walked(300, 0.7, _stream(0), 5)[1].dtype == np.int16
+    t, d = walked(32768, 0.7, _stream(0), 2)
     assert d.dtype == np.int64
     assert np.array_equal(d, np.cumsum(t, axis=1))
 
 
 @pytest.mark.parametrize("n,p,size", [(24, 0.55, 3000), (32, 0.9, 1 << 16), (300, 0.713, 4000)])
 def test_rank_statistic_bits_are_unchanged(n, p, size):
-    # gemv results depend on the matrix layout and row count, so the chunked
-    # walk must hand back one C-ordered (size, n) t per batch
+    # gemv results depend on the matrix layout and row count, so this takes
+    # the product of one C-ordered (size, n) t per batch
     a = np.random.default_rng(n).normal(size=n)
     want, _ = lockstep_batch(n, p, _stream(8, 0), size)
-    got, _ = _simulate_batch(n, p, _stream(8, 0), size)
+    got, _ = walked(n, p, _stream(8, 0), size)
     assert np.array_equal(got.astype(float) @ a, want.astype(float) @ a)
 
 
@@ -159,7 +185,7 @@ def test_rank_blocks_give_the_whole_batch_product(monkeypatch, n):
     assert [w.size for w in seen] == sizes and sizes[1] % 4 == 1
     hits = 0
     for b, (size, w) in enumerate(zip(sizes, seen)):
-        t, _ = _simulate_batch(n, 0.7, _stream(seed, b), size)
+        t, _ = walked(n, 0.7, _stream(seed, b), size)
         whole = t.astype(float) @ a
         assert np.array_equal(w, whole), (n, b)
         hits += int(np.count_nonzero(np.abs(whole) >= observed - 1e-12))
@@ -167,14 +193,16 @@ def test_rank_blocks_give_the_whole_batch_product(monkeypatch, n):
     assert pvalue == (hits + 1) / (reps + 1)
 
 
-def last_square_plus_first(t, d):
-    return d[-1] * d[-1] + t[0]
+# a statistic of the whole path that none of the named ones computes
+SQUARE_PLUS_FIRST = PathStatistic(
+    name="square+first", per_batch=lambda t, d: d[:, -1].astype(float) ** 2 + t[:, 0])
 
 
 @pytest.mark.parametrize("text", ["balance", "variance", "selection-bias", "cov(3,17)", None])
 @pytest.mark.parametrize("n,batch", [(40, 5000), (301, 3000)])
 def test_seeded_estimates_are_unchanged(monkeypatch, text, n, batch):
-    stat = last_square_plus_first if text is None else parse_statistic(text, n)
+    # cov(3,17) stops the walk at step 17; the lock-step chunks walk all n
+    stat = SQUARE_PLUS_FIRST if text is None else parse_statistic(text, n)
     run = dict(n=n, params=DesignParams(0.58), statistic=stat, replicates=12_000,
                seed=99, batch_size=batch)
     chunked = mc_estimate(**run)
@@ -182,13 +210,15 @@ def test_seeded_estimates_are_unchanged(monkeypatch, text, n, batch):
     assert mc_estimate(**run) == chunked
 
 
-def test_per_path_statistics_get_wide_imbalance_rows():
+def test_the_named_statistics_widen_a_narrow_imbalance():
     # all steps up: D reaches 300, whose square wraps in int16 (past 181)
     n = 300
     t = np.ones((2, n), dtype=np.int8)
     d = np.cumsum(t, axis=1, dtype=np.int16).T.copy().T
-    stat = PathStatistic(name="square", per_path=lambda t, d: d[-1] * d[-1])
-    assert stat.batch_values(t, d).tolist() == [90_000.0, 90_000.0]
+    for stat, want in [(stat_imbalance_sq(), 90_000.0), (stat_balance(), 0.0),
+                       (stat_correct_guess(n), 0.0), (stat_product(1, n), 1.0)]:
+        values = stat.per_batch(t, d)
+        assert values.dtype == np.float64 and values.tolist() == [want, want], stat.name
 
 
 # Runs argv and prints its wall time and peak RSS.  A child's peak RSS
@@ -248,42 +278,51 @@ def refuse_to_walk(*args):
 
 
 def test_a_batch_over_the_memory_bound_exits_2_before_it_is_walked(capsys, monkeypatch):
-    # its one chunk of 2 runs: words, t and d (int64 here) at 17 B a cell
-    # and 8 B a run, 3.4 GB
+    # its one chunk of 2 runs: words, step codes, a compare, t and d (int64
+    # here) at 19 B a cell and 16 B a run, 3.8 GB
     monkeypatch.setattr(bcdexact.simulate, "_walk_chunks", refuse_to_walk)
     # cov(i,j) has no n cap, so the batch bound is what refuses it
     code = main(["simulate", "--n", "100000000", "--p", "0.7", "--statistic", "cov(1,2)",
                  "--reps", "2"])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert "needs 3400000016 bytes" in err and "--batch-size" in err
+    assert "needs 3800000032 bytes" in err and "--batch-size" in err
 
 
-# (n, runs in the batch, fits): with one chunk of t and d counted, the
-# default batch fits up to n = 32767, where d turns int64; below one chunk,
-# each run's 8 B of values counts too
+# (n, runs in the batch, fits): with one chunk of words, step codes, a
+# compare, t and d counted, the default batch fits up to n = 32767, where d
+# turns int64; each run's 16 B of values (this batch's and the last's)
+# count too.  (32768, 963) and (6316127, 5) fit while the codes, the
+# compare and the last batch's values went uncounted.
 @pytest.mark.parametrize("n,size,fits", [
     (1000, 65536, True), (2621, 65536, True), (2622, 65536, True), (32767, 65536, True),
-    (32768, 65536, False), (32767, 2730, True), (32767, 2731, True), (32768, 963, True),
-    (32768, 964, False), (6316127, 5, True), (6316128, 5, False),
+    (32768, 65536, False), (32767, 2730, True), (32767, 2731, True), (32767, 6292288, True),
+    (32767, 6292289, False), (32768, 862, True), (32768, 863, False), (32768, 963, False),
+    (32768, 964, False), (5651271, 5, True), (5651272, 5, False), (6316127, 5, False),
+    (6316128, 5, False),
 ])
 def test_the_batch_bound_counts_t_d_and_a_chunk_of_uniforms(monkeypatch, n, size, fits):
-    walked = []
+    walks = []
     monkeypatch.setattr(bcdexact.simulate, "_walk_chunks",
-                        lambda n, p, rng, size: walked.append(size) or iter(()))
+                        lambda n, p, rng, size, steps: walks.append(size) or iter(()))
     sizes = [size, 3]  # the largest batch sets the bound
     if fits:
         batches = _over_batches(n, DesignParams(0.7), 0, sizes, lambda t, d: 0)
         assert [values.size for values in batches] == sizes
-        assert walked == sizes
+        assert walks == sizes
     else:
         with pytest.raises(ValueError, match="use a smaller --batch-size"):
             _over_batches(n, DesignParams(0.7), 0, sizes, lambda t, d: 0)
-        assert walked == []
+        assert walks == []
 
 
 def traced_peak(call) -> int:
-    """The tracemalloc peak in bytes while call() runs."""
+    """The tracemalloc peak in bytes while call() runs.
+
+    numpy imports numpy.random on first use; it is imported before tracing
+    starts, so the peak counts the batch, not the import.
+    """
+    import numpy.random  # noqa: F401
     tracemalloc.start()
     try:
         call()
@@ -299,10 +338,11 @@ def traced_peak(call) -> int:
                                  DesignParams(0.7), DEFAULT_BATCH_SIZE, seed=1)),
 ], ids=["mc_estimate", "rank_pvalue_mc"])
 def test_a_batch_holds_one_chunk_and_its_values(n, run):
-    # one chunk's words, t and d at 11 B a cell plus 8 B a run: 11.8 MB at
-    # n = 1000 and 6.3 MB at n = 256.  Measured peaks 17.7 and 8.9 MB (the
-    # chunk's compare temporaries and steps, and a rank block); the whole
-    # batch's t, d and values took 211 and 185 MB.  2x leaves headroom.
-    one_chunk = _chunk_rows(n) * n * 11 + 8 * DEFAULT_BATCH_SIZE
+    # one chunk's words, step codes, a compare, t and d at 13 B a cell plus
+    # 16 B a run: 14.4 MB at n = 1000 and 7.9 MB at n = 256, as
+    # `_over_batches` counts it.  Measured peaks 13.8 and 7.3 MB with one
+    # batch (8 B a run of values); the whole batch's t, d and values took
+    # 211 and 185 MB.
+    counted = _chunk_rows(n) * n * 13 + 16 * DEFAULT_BATCH_SIZE
     peak = traced_peak(run)
-    assert peak < 2 * one_chunk, (peak, one_chunk)
+    assert peak <= counted, (peak, counted)

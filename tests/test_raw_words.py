@@ -1,6 +1,6 @@
 """The Monte Carlo walk reads raw Philox words against exact integer limits.
 
-`_simulate_batch` tests each raw 64-bit word against `_word_limit` of p,
+`_walk_chunks` tests each raw 64-bit word against `_word_limit` of p,
 1/2 and q instead of drawing numpy's uniform doubles and comparing them.
 That takes the same steps only while numpy turns a word w into the double
 (w >> 11) * 2**-53, which the first test pins: if numpy ever changes that
@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bcdexact.simulate import _simulate_batch, _stream, _word_limit
+from bcdexact.simulate import _stream, _walk_chunks, _word_limit
 
 TOP = (1 << 64) - 1
 
@@ -90,7 +90,7 @@ def test_crafted_words_take_the_float_steps(p):
     # top word (p's test)
     rows = [[c, 0] for c in words] + [[0, c] for c in words] + [[TOP, c] for c in words]
     raw = np.array(rows, dtype=np.uint64)
-    t, d = _simulate_batch(2, p, replaying(raw), raw.shape[0])
+    (t, d), = _walk_chunks(2, p, replaying(raw), raw.shape[0])  # a single chunk
     want = float_walk(p, raw)
     assert np.array_equal(t, want), p
     assert np.array_equal(d, np.cumsum(want, axis=1))

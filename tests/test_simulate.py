@@ -1,11 +1,13 @@
 """Simulation, exhaustive enumeration, and linear rank statistics."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 import bcdexact.simulate
+import bruteforce as bf
 from bcdexact.bias import selection_bias_step
 from bcdexact.covariance import joint_assignment, sigma, two_p_eigenvector
 from bcdexact.design import DesignParams
@@ -89,6 +91,24 @@ def test_enumerated_guess_rate_is_the_per_step_bias():
         assert enumerate_exact(j, params, stat_correct_guess(j), "rational") == (
             selection_bias_step(j, params)
         )
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 5), Fraction(7, 10), Fraction(1)])
+def test_enumeration_matches_the_longhand_paths(p):
+    # tests/bruteforce.py writes the transition rule out path by path
+    params = DesignParams(p)
+
+    def exact(n, stat):
+        value = enumerate_exact(n, params, stat, "rational")
+        assert type(value) is Fraction
+        return value
+
+    for n in range(1, 11):
+        assert exact(n, stat_balance()) == bf.pmf(n, p).get(0, 0)
+        assert exact(n, stat_imbalance_sq()) == bf.variance(n, p)
+        assert exact(n, stat_correct_guess(n)) == bf.guess_prob(n, p)
+    for i, j in combinations(range(1, 11), 2):
+        assert exact(10, stat_product(i, j)) == bf.sigma_entry(i, j, p), (i, j)
 
 
 def test_float_enumeration_tracks_the_exact_route():
