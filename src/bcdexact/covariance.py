@@ -32,16 +32,19 @@ sigma(n) always carries the vector v = (sqrt(2)/2, -sqrt(2)/2, 0, ..., 0)
 as an eigenvector with eigenvalue 2p; `verify_2p_eigenpair` measures the
 residual and `eigen_spectrum` computes the whole spectrum with round-robin
 Jacobi rotation sweeps (no library eigensolver, so tests can cross-check
-against one).
+against one).  The schedule is built once per n; each step rotates all of
+its disjoint pairs with one stacked gather, multiply, sum and scatter per
+side, elementwise, so every entry has the bits of c x - s y.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -328,8 +331,9 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(strict * strict)))
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One Jacobi sweep as steps of disjoint index pairs (i < j).
+@functools.lru_cache(maxsize=32)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """One Jacobi sweep as steps of disjoint index pairs (i < j), read-only.
 
     The round-robin tournament ordering of Brent & Luk (1985): index 0
     stays put while the others rotate one seat per step, so every pair
@@ -346,9 +350,45 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
             for a, b in zip(seats[: size // 2], seats[::-1])
             if max(a, b) < n
         ]
-        steps.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
+        sides = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
+        sides.flags.writeable = False  # and so are its rows i and j
+        steps.append(tuple(sides))
         seats = [seats[0], seats[-1]] + seats[1:-1]
-    return steps
+    return tuple(steps)
+
+
+class _JacobiStep(NamedTuple):
+    """Stacked indices of one round-robin step of k disjoint pairs (i, j).
+
+    Each field but `table` is a view of its rows: i, j, i, i, j, j, then
+    the flat positions of a_ii, a_jj, a_ij and a_ji, k entries each, so
+    one column gather `table[:, active]` stacks the active pairs alone.
+    """
+
+    table: np.ndarray
+    pair: np.ndarray  # [i; j]: the rows, then the columns, a step rewrites
+    rows: np.ndarray  # [i; i; j; j]: the rows, then the columns, it reads
+    diag: np.ndarray  # flat positions of [a_ii; a_jj]
+    upper: np.ndarray  # flat positions of a_ij
+    off: np.ndarray  # flat positions of [a_ij; a_ji]
+
+
+def _stacked(table: np.ndarray) -> _JacobiStep:
+    flat = table.reshape(-1)
+    k = table.shape[1]
+    return _JacobiStep(table, flat[: 2 * k], flat[2 * k : 6 * k], flat[6 * k : 8 * k],
+                       table[8], flat[8 * k :])
+
+
+@functools.lru_cache(maxsize=32)
+def _jacobi_steps(n: int) -> tuple[_JacobiStep, ...]:
+    """The steps of `_round_robin(n)` with their stacked indices, read-only."""
+    steps = []
+    for i, j in _round_robin(n):
+        table = np.stack((i, j, i, i, j, j, i * (n + 1), j * (n + 1), i * n + j, j * n + i))
+        table.flags.writeable = False
+        steps.append(_stacked(table))
+    return tuple(steps)
 
 
 JACOBI_TOL = 1e-10  # off-diagonal Frobenius norm at which the sweeps stop
@@ -365,28 +405,38 @@ def eigen_spectrum(
     eigenvalue error to the off-diagonal Frobenius norm, which must fall
     below JACOBI_TOL.  A sweep runs the steps of `_round_robin`; the
     rotations of one step act on disjoint rows and columns, so they
-    commute and are applied together as one array update.  Raises
+    commute and are applied together.  Each side of a step is one gather
+    of the stacked rows (then columns) [i; i; j; j], one multiply by the
+    stacked coefficients [c; s; -s; c], one sum of the two halves and one
+    scatter to [i; j]: c x - s y and s x + c y, each entry rounded as
+    round(c x) + round(-s y) = round(c x) - round(s y).  Raises
     ConvergenceError if the rotation budget (default 100 n^2) runs out
-    first.
+    first, and ValueError for an empty, non-square, non-finite or
+    asymmetric matrix.
     """
     a = cov.as_array() if isinstance(cov, AssignmentCovariance) else np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
     n = a.shape[0]
+    if n == 0:
+        raise ValueError("matrix must have at least one row")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix must be symmetric")
-    a = np.array(a, dtype=float)  # working copy
+    a = np.array(a, dtype=float, order="C")  # working copy
     if n == 1:
         return np.array([a[0, 0]])
     if max_rotations is None:
         max_rotations = 100 * n * n
 
     skip = JACOBI_TOL / (2.0 * n)
-    schedule = _round_robin(n)
+    flat = a.reshape(-1)  # a view: a is C-contiguous
+    sides = (a, a.T)
     rotations = 0
     while _off_norm(a) > JACOBI_TOL:
-        for i, j in schedule:
-            apq = a[i, j]
+        for step in _jacobi_steps(n):
+            apq = flat.take(step.upper)
             active = np.abs(apq) > skip
             count = int(np.count_nonzero(active))
             if not count:
@@ -397,18 +447,21 @@ def eigen_spectrum(
                     f"(off-diagonal norm {_off_norm(a):.3e} > tol {JACOBI_TOL:g})"
                 )
             rotations += count
-            i, j, apq = i[active], j[active], apq[active]
-            tau = (a[j, j] - a[i, i]) / (2.0 * apq)
+            if count < len(apq):
+                step = _stacked(step.table[:, active])
+                apq = apq[active]
+            diag = flat.take(step.diag)
+            tau = (diag[count:] - diag[:count]) / (2.0 * apq)
             t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.hypot(1.0, t)
             s = t * c
-            row_i, row_j = a[i, :], a[j, :]
-            a[i, :] = c[:, None] * row_i - s[:, None] * row_j
-            a[j, :] = s[:, None] * row_i + c[:, None] * row_j
-            col_i, col_j = a[:, i], a[:, j]
-            a[:, i] = col_i * c - col_j * s
-            a[:, j] = col_i * s + col_j * c
-            a[i, j] = a[j, i] = 0.0
+            coef = np.concatenate((c, s, -s, c))[:, None]
+            half = 2 * count
+            for side in sides:  # rows, then columns as the rows of a.T
+                x = side.take(step.rows, axis=0)
+                x *= coef
+                side[step.pair] = x[:half] + x[half:]
+            flat.put(step.off, 0.0)
     return np.sort(np.diag(a))[::-1]
 
 

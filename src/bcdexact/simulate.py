@@ -361,8 +361,9 @@ def _over_batches(n, params, seed, sizes, chunk_values, steps=None):
     A batch over MC_BATCH_BYTES is refused before any is walked.  It peaks
     while a chunk of raw words (8 B a cell) is compared, beside its step
     codes and one compare (1 B a cell each), t and d (1 B and d's width),
-    and the values of this batch and the last, which the caller holds
-    until this one is yielded (8 B a run each).
+    and this batch's values (8 B a run).  Callers consume each vector
+    before they ask for the next; the count still allows 16 B a run, so
+    it keeps the headroom of a second vector and refuses what it refused.
     """
     size = max(sizes, default=0)
     cells = min(size, _chunk_rows(n)) * n
@@ -382,6 +383,10 @@ def _over_batches(n, params, seed, sizes, chunk_values, steps=None):
         return values
 
     return (walk(b, runs) for b, runs in enumerate(sizes))
+
+
+def _sums(values: np.ndarray) -> tuple[float, float]:
+    return float(values.sum()), float((values * values).sum())
 
 
 def mc_estimate(
@@ -406,7 +411,8 @@ def mc_estimate(
     sizes = _batch_sizes(replicates, batch_size)
     stat = _coerce_statistic(statistic)
     batches = _over_batches(n, params, seed, sizes, stat.per_batch, stat.last_step)
-    partials = [(float(values.sum()), float((values * values).sum())) for values in batches]
+    # map drops each batch's values before it asks for the next batch
+    partials = list(map(_sums, batches))
     total = math.fsum(s for s, _ in partials)
     total_sq = math.fsum(s2 for _, s2 in partials)
     mean = total / replicates
@@ -517,7 +523,10 @@ def rank_pvalue_mc(
         return np.concatenate([t[lo:lo + block].astype(float) @ a
                                for lo in range(0, t.shape[0], block)])
 
+    def hits(values) -> int:
+        return int(np.count_nonzero(np.abs(values) >= abs(observed) - 1e-12))
+
     sizes = _batch_sizes(replicates, batch_size)
-    hits = sum(int(np.count_nonzero(np.abs(values) >= abs(observed) - 1e-12))
-               for values in _over_batches(a.size, params, seed, sizes, w))
-    return (hits + 1) / (replicates + 1)
+    # map drops each batch's values before it asks for the next batch
+    total = sum(map(hits, _over_batches(a.size, params, seed, sizes, w)))
+    return (total + 1) / (replicates + 1)

@@ -4,12 +4,18 @@ Everything here works by enumerating sign paths with fractions.Fraction
 weights and the biased-coin transition rule written out longhand.  None of
 the closed-form expressions from the package are used, so these functions
 are legitimate independent oracles (slow, exponential in n).
+
+`jacobi_spectrum` is the other kind of oracle: a frozen copy of the
+round-robin Jacobi solver as it stood before its steps were stacked, kept
+so that tests can require the package's spectrum to match it bit for bit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 HALF = Fraction(1, 2)
 
@@ -141,3 +147,73 @@ def guess_prob(j: int, p: Fraction) -> Fraction:
 
 def expected_guesses(n: int, p: Fraction) -> Fraction:
     return sum(guess_prob(j, p) for j in range(1, n + 1))
+
+
+# ---------------------------------------------------------------------------
+# the Jacobi spectrum, frozen
+
+
+def round_robin_pairs(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The Brent & Luk round-robin sweep as steps of disjoint pairs (i < j)."""
+    size = n + n % 2
+    seats = list(range(size))
+    steps = []
+    for _ in range(size - 1):
+        pairs = [
+            (min(a, b), max(a, b))
+            for a, b in zip(seats[: size // 2], seats[::-1])
+            if max(a, b) < n
+        ]
+        steps.append(tuple(np.array(side, dtype=np.intp) for side in zip(*pairs)))
+        seats = [seats[0], seats[-1]] + seats[1:-1]
+    return steps
+
+
+def _off_norm(a: np.ndarray) -> float:
+    strict = a - np.diag(np.diag(a))
+    return float(np.sqrt(np.sum(strict * strict)))
+
+
+def jacobi_spectrum(a: np.ndarray, max_rotations: int | None = None) -> np.ndarray:
+    """Descending eigenvalues of a valid symmetric matrix by Jacobi sweeps.
+
+    Each step gathers the rows i and j (then the columns) of its pairs one
+    side at a time and writes c x - s y and s x + c y back.  A budget that
+    runs out raises RuntimeError with the package's ConvergenceError text.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return np.array([a[0, 0]])
+    if max_rotations is None:
+        max_rotations = 100 * n * n
+    tol = 1e-10
+    skip = tol / (2.0 * n)
+    schedule = round_robin_pairs(n)
+    rotations = 0
+    while _off_norm(a) > tol:
+        for i, j in schedule:
+            apq = a[i, j]
+            active = np.abs(apq) > skip
+            count = int(np.count_nonzero(active))
+            if not count:
+                continue
+            if rotations + count > max_rotations:
+                raise RuntimeError(
+                    f"no convergence after {rotations} rotations "
+                    f"(off-diagonal norm {_off_norm(a):.3e} > tol {tol:g})"
+                )
+            rotations += count
+            i, j, apq = i[active], j[active], apq[active]
+            tau = (a[j, j] - a[i, i]) / (2.0 * apq)
+            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            row_i, row_j = a[i, :], a[j, :]
+            a[i, :] = c[:, None] * row_i - s[:, None] * row_j
+            a[j, :] = s[:, None] * row_i + c[:, None] * row_j
+            col_i, col_j = a[:, i], a[:, j]
+            a[:, i] = col_i * c - col_j * s
+            a[:, j] = col_i * s + col_j * c
+            a[i, j] = a[j, i] = 0.0
+    return np.sort(np.diag(a))[::-1]

@@ -17,6 +17,7 @@ from bcdexact.covariance import (
     ConvergenceError,
     FirstVisitTable,
     _first_returns,
+    _jacobi_steps,
     _round_robin,
     _row_weights,
     cond_assignment,
@@ -390,6 +391,76 @@ def test_eigen_raises_when_rotation_budget_is_exhausted():
     arr = sigma(6, DesignParams(0.7)).as_array()
     with pytest.raises(ConvergenceError):
         eigen_spectrum(arr, max_rotations=2)
+
+
+def test_eigen_names_an_empty_or_non_finite_matrix():
+    with pytest.raises(ValueError, match="at least one row"):
+        eigen_spectrum(np.zeros((0, 0)))
+    for bad in (np.inf, -np.inf, np.nan):
+        arr = np.eye(2)
+        arr[0, 1] = arr[1, 0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            eigen_spectrum(arr)
+    arr = np.eye(3)
+    arr[2, 2] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        eigen_spectrum(arr)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 48])
+def test_the_cached_schedule_is_read_only(n):
+    assert _round_robin(n) is _round_robin(n)
+    for i, j in _round_robin(n):
+        for side in (i, j):
+            with pytest.raises(ValueError, match="read-only"):
+                side[:1] = 0
+    for step in _jacobi_steps(n):
+        for indices in step:
+            with pytest.raises(ValueError, match="read-only"):
+                indices[...] = 0
+
+
+# The stacked steps must give the bits of the step-by-step solver frozen in
+# tests/bruteforce.py: every entry is round(c x) + round(-s y), which is
+# round(c x) - round(s y).
+@pytest.mark.parametrize("p", [0.5, 0.51, 0.55, 0.7, 0.9, 0.999, 1.0, Fraction(5, 7)])
+def test_spectrum_bits_match_the_frozen_solver_on_sigma(p):
+    for n in range(1, 65):
+        arr = sigma(n, DesignParams(p)).as_array()
+        assert eigen_spectrum(arr).tobytes() == bf.jacobi_spectrum(arr).tobytes(), n
+
+
+def tied_symmetric(rng, n):
+    """A symmetric matrix whose diagonal takes two values, so many pairs tie.
+
+    A tie with a negative a_ij makes tau = 0 / (2 a_ij) = -0.0, which must
+    still rotate with t > 0.
+    """
+    half = rng.normal(size=(n, n))
+    arr = (half + half.T) / 2
+    np.fill_diagonal(arr, rng.choice([0.5, 1.0], size=n))
+    return arr
+
+
+def test_spectrum_bits_match_the_frozen_solver_on_ties():
+    rng = np.random.default_rng(25)
+    tied = [tied_symmetric(rng, n) for n in (2, 3, 4, 5, 9, 16, 17, 31)]
+    integers = [rng.integers(-2, 3, size=(n, n)) for n in (3, 8, 13)]
+    tied += [np.triu(m) + np.triu(m, 1).T for m in integers]
+    tied.append(np.array([[1.0, -0.5], [-0.5, 1.0]]))  # tau = -0.0 at once
+    for arr in tied:
+        assert eigen_spectrum(arr).tobytes() == bf.jacobi_spectrum(arr).tobytes(), arr.shape
+    assert eigen_spectrum(tied[-1]) == pytest.approx([1.5, 0.5], abs=1e-15)
+
+
+@pytest.mark.parametrize("budget", [1, 2, 50])
+def test_an_exhausted_budget_names_the_frozen_solver_s_count_and_norm(budget):
+    arr = sigma(12, DesignParams(0.7)).as_array()
+    with pytest.raises(ConvergenceError) as mine:
+        eigen_spectrum(arr, max_rotations=budget)
+    with pytest.raises(RuntimeError) as frozen:
+        bf.jacobi_spectrum(arr, max_rotations=budget)
+    assert str(mine.value) == str(frozen.value)
 
 
 def test_known_eigenvector_of_the_covariance():
