@@ -32,19 +32,19 @@ sigma(n) always carries the vector v = (sqrt(2)/2, -sqrt(2)/2, 0, ..., 0)
 as an eigenvector with eigenvalue 2p; `verify_2p_eigenpair` measures the
 residual and `eigen_spectrum` computes the whole spectrum with round-robin
 Jacobi rotation sweeps (no library eigensolver, so tests can cross-check
-against one).  The schedule is built once per n; each step rotates all of
-its disjoint pairs with one stacked gather, multiply, sum and scatter per
-side, elementwise, so every entry has the bits of c x - s y.
+against one).  Each call builds the schedule from the seat formula and
+keeps nothing once it returns; each step rotates all of its disjoint pairs
+with one stacked gather, multiply, sum and scatter per side, elementwise,
+so every entry has the bits of c x - s y.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -331,64 +331,38 @@ def _off_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(strict * strict)))
 
 
-@functools.lru_cache(maxsize=32)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """One Jacobi sweep as steps of disjoint index pairs (i < j), read-only.
+def _round_robin(n: int) -> np.ndarray:
+    """One Jacobi sweep as a (steps, 2, pairs) array of index pairs (i < j).
 
-    The round-robin tournament ordering of Brent & Luk (1985): index 0
-    stays put while the others rotate one seat per step, so every pair
-    meets exactly once per sweep and no index appears twice in a step.
-    Even n takes n - 1 steps of n/2 pairs.  Odd n is padded with a dummy
-    index n whose pairs are dropped: n steps of (n - 1)/2 pairs.
+    The round-robin tournament ordering of Brent & Luk (1985), built from
+    the seat formula: with size = n + n % 2, at step t seat 0 holds index 0
+    and seat s >= 1 holds (s - 1 - t) mod (size - 1) + 1, and seat s plays
+    seat size - 1 - s.  Every pair meets exactly once per sweep and no
+    index appears twice in a step.  Even n takes n - 1 steps of n/2 pairs.
+    Odd n is padded with a dummy index n whose pair is dropped from each
+    step: n steps of (n - 1)/2 pairs.
     """
     size = n + n % 2
-    seats = list(range(size))
-    steps = []
-    for _ in range(size - 1):
-        pairs = [
-            (min(a, b), max(a, b))
-            for a, b in zip(seats[: size // 2], seats[::-1])
-            if max(a, b) < n
-        ]
-        sides = np.array(pairs, dtype=np.intp).reshape(-1, 2).T.copy()
-        sides.flags.writeable = False  # and so are its rows i and j
-        steps.append(tuple(sides))
-        seats = [seats[0], seats[-1]] + seats[1:-1]
-    return tuple(steps)
+    t = np.arange(size - 1)[:, None]
+    seats = (np.arange(size) - 1 - t) % (size - 1) + 1
+    seats[:, 0] = 0
+    a, b = seats[:, : size // 2], seats[:, : size // 2 - 1 : -1]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keep = hi < n  # drops the dummy index of an odd n
+    return np.stack((lo[keep], hi[keep])).reshape(2, size - 1, -1).swapaxes(0, 1)
 
 
-class _JacobiStep(NamedTuple):
-    """Stacked indices of one round-robin step of k disjoint pairs (i, j).
+def _stacked(table: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of one step's index table of k disjoint pairs (i, j).
 
-    Each field but `table` is a view of its rows: i, j, i, i, j, j, then
-    the flat positions of a_ii, a_jj, a_ij and a_ji, k entries each, so
-    one column gather `table[:, active]` stacks the active pairs alone.
+    The rows are i, j, i, i, j, j, then the flat positions of a_ii, a_jj,
+    a_ij and a_ji, k entries each.  The views are [i; j] (the rows, then
+    the columns, a step rewrites), [i; i; j; j] (those it reads) and the
+    flat positions of [a_ii; a_jj], of a_ij and of [a_ij; a_ji].
     """
-
-    table: np.ndarray
-    pair: np.ndarray  # [i; j]: the rows, then the columns, a step rewrites
-    rows: np.ndarray  # [i; i; j; j]: the rows, then the columns, it reads
-    diag: np.ndarray  # flat positions of [a_ii; a_jj]
-    upper: np.ndarray  # flat positions of a_ij
-    off: np.ndarray  # flat positions of [a_ij; a_ji]
-
-
-def _stacked(table: np.ndarray) -> _JacobiStep:
     flat = table.reshape(-1)
     k = table.shape[1]
-    return _JacobiStep(table, flat[: 2 * k], flat[2 * k : 6 * k], flat[6 * k : 8 * k],
-                       table[8], flat[8 * k :])
-
-
-@functools.lru_cache(maxsize=32)
-def _jacobi_steps(n: int) -> tuple[_JacobiStep, ...]:
-    """The steps of `_round_robin(n)` with their stacked indices, read-only."""
-    steps = []
-    for i, j in _round_robin(n):
-        table = np.stack((i, j, i, i, j, j, i * (n + 1), j * (n + 1), i * n + j, j * n + i))
-        table.flags.writeable = False
-        steps.append(_stacked(table))
-    return tuple(steps)
+    return flat[: 2 * k], flat[2 * k : 6 * k], flat[6 * k : 8 * k], table[8], flat[8 * k :]
 
 
 JACOBI_TOL = 1e-10  # off-diagonal Frobenius norm at which the sweeps stop
@@ -403,16 +377,17 @@ def eigen_spectrum(
     Each rotation zeroes one off-diagonal pair through an orthogonal
     similarity, preserving the trace and (by Wielandt-Hoffman) pinning the
     eigenvalue error to the off-diagonal Frobenius norm, which must fall
-    below JACOBI_TOL.  A sweep runs the steps of `_round_robin`; the
-    rotations of one step act on disjoint rows and columns, so they
-    commute and are applied together.  Each side of a step is one gather
-    of the stacked rows (then columns) [i; i; j; j], one multiply by the
-    stacked coefficients [c; s; -s; c], one sum of the two halves and one
-    scatter to [i; j]: c x - s y and s x + c y, each entry rounded as
-    round(c x) + round(-s y) = round(c x) - round(s y).  Raises
-    ConvergenceError if the rotation budget (default 100 n^2) runs out
-    first, and ValueError for an empty, non-square, non-finite or
-    asymmetric matrix.
+    below JACOBI_TOL.  A sweep runs the steps of `_round_robin`, whose
+    stacked index tables (see `_stacked`) are built once per call and
+    dropped when it returns; the rotations of one step act on disjoint
+    rows and columns, so they commute and are applied together.  Each
+    side of a step is one gather of the stacked rows (then columns)
+    [i; i; j; j], one multiply by the stacked coefficients [c; s; -s; c],
+    one sum of the two halves and one scatter to [i; j]: c x - s y and
+    s x + c y, each entry rounded as round(c x) + round(-s y) =
+    round(c x) - round(s y).  Raises ConvergenceError if the rotation
+    budget (default 100 n^2) runs out first, and ValueError for an empty,
+    non-square, non-finite or asymmetric matrix.
     """
     a = cov.as_array() if isinstance(cov, AssignmentCovariance) else np.asarray(cov, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -433,10 +408,13 @@ def eigen_spectrum(
     skip = JACOBI_TOL / (2.0 * n)
     flat = a.reshape(-1)  # a view: a is C-contiguous
     sides = (a, a.T)
+    i, j = _round_robin(n).swapaxes(0, 1)
+    tables = np.stack((i, j, i, i, j, j, i * (n + 1), j * (n + 1), i * n + j, j * n + i), axis=1)
+    steps = [(table, _stacked(table)) for table in tables]
     rotations = 0
     while _off_norm(a) > JACOBI_TOL:
-        for step in _jacobi_steps(n):
-            apq = flat.take(step.upper)
+        for table, (pair, rows, diag, upper, off) in steps:
+            apq = flat.take(upper)
             active = np.abs(apq) > skip
             count = int(np.count_nonzero(active))
             if not count:
@@ -448,20 +426,20 @@ def eigen_spectrum(
                 )
             rotations += count
             if count < len(apq):
-                step = _stacked(step.table[:, active])
+                pair, rows, diag, upper, off = _stacked(table[:, active])
                 apq = apq[active]
-            diag = flat.take(step.diag)
-            tau = (diag[count:] - diag[:count]) / (2.0 * apq)
+            diagonal = flat.take(diag)
+            tau = (diagonal[count:] - diagonal[:count]) / (2.0 * apq)
             t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
             c = 1.0 / np.hypot(1.0, t)
             s = t * c
             coef = np.concatenate((c, s, -s, c))[:, None]
             half = 2 * count
             for side in sides:  # rows, then columns as the rows of a.T
-                x = side.take(step.rows, axis=0)
+                x = side.take(rows, axis=0)
                 x *= coef
-                side[step.pair] = x[:half] + x[half:]
-            flat.put(step.off, 0.0)
+                side[pair] = x[:half] + x[half:]
+            flat.put(off, 0.0)
     return np.sort(np.diag(a))[::-1]
 
 

@@ -4,6 +4,7 @@ Expected rationals were frozen from the exhaustive path oracle in
 tests/bruteforce.py before the closed-form routes existed.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,6 @@ from bcdexact.covariance import (
     ConvergenceError,
     FirstVisitTable,
     _first_returns,
-    _jacobi_steps,
     _round_robin,
     _row_weights,
     cond_assignment,
@@ -353,7 +353,7 @@ def test_two_by_two_spectrum_is_2p_and_2q():
         assert spectrum[1] == pytest.approx(2 - 2 * p, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 7, 16, 33])
+@pytest.mark.parametrize("n", [*range(2, 131), 255, 256])
 def test_round_robin_meets_every_pair_once_per_sweep(n):
     steps = _round_robin(n)
     assert len(steps) == n - 1 + n % 2
@@ -364,6 +364,12 @@ def test_round_robin_meets_every_pair_once_per_sweep(n):
         assert len(set(i) | set(j)) == n - n % 2  # disjoint within the step
         seen += zip(i.tolist(), j.tolist())
     assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # The order of the steps fixes the spectrum's bits; each step's pairs keep
+    # the frozen order too.
+    frozen = bf.round_robin_pairs(n)
+    assert len(frozen) == len(steps)
+    for (i, j), (fi, fj) in zip(steps, frozen):
+        assert i.tolist() == fi.tolist() and j.tolist() == fj.tolist()
 
 
 @pytest.mark.parametrize("n", [3, 8, 17, 30, 33, 65])
@@ -407,17 +413,24 @@ def test_eigen_names_an_empty_or_non_finite_matrix():
         eigen_spectrum(arr)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 48])
-def test_the_cached_schedule_is_read_only(n):
-    assert _round_robin(n) is _round_robin(n)
-    for i, j in _round_robin(n):
-        for side in (i, j):
-            with pytest.raises(ValueError, match="read-only"):
-                side[:1] = 0
-    for step in _jacobi_steps(n):
-        for indices in step:
-            with pytest.raises(ValueError, match="read-only"):
-                indices[...] = 0
+def test_a_spectrum_call_leaves_no_memory_behind():
+    # One off-diagonal pair makes each call build its whole schedule and run
+    # one full sweep: milliseconds at sizes where a solve of Sigma takes seconds.
+    arrays = []
+    for n in range(225, 254, 4):
+        arr = np.diag(np.arange(1.0, n + 1))
+        arr[0, -1] = arr[-1, 0] = 1e-3
+        arrays.append(arr)
+    eigen_spectrum(sigma(8, DesignParams(0.7)))  # numpy's first-call state is not the solver's
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for arr in arrays:
+            eigen_spectrum(arr)
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024
 
 
 # The stacked steps must give the bits of the step-by-step solver frozen in
