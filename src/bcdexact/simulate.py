@@ -10,8 +10,9 @@ as raw 64-bit words and tests each against integer limits that take the
 same steps as comparing numpy's uniform double of that word with p, 1/2
 and q (`_word_limit`).  A batch is walked and consumed one row chunk at a
 time (`_walk_chunks`), which stops at the last step its statistic reads:
-each chunk's paths become one float64 value per run, so a batch holds one
-chunk of paths and its vector of values.
+each chunk's words are drawn in cache-sized blocks and turned straight
+into int8 step codes, and its paths become one float64 value per run, so
+a batch holds one chunk of codes and paths and its vector of values.
 
 A statistic is written once, as `PathStatistic.per_batch`.
 `enumerate_exact` scores all 2^n assignment paths with it and sums them
@@ -56,13 +57,18 @@ __all__ = [
 
 ENUMERATION_CAP = 16
 DEFAULT_BATCH_SIZE = 1 << 16
-# A batch draws its 64-bit words in chunks of about this many bytes, but of
-# at least MC_CHUNK_MIN_ROWS runs, so that each step's few numpy calls act
-# on enough runs to amortize their fixed cost when n is large.
+# A batch is walked in row chunks of as many runs as hold about this many
+# bytes of 64-bit words, but of at least MC_CHUNK_MIN_ROWS runs, so that
+# each step's few numpy calls act on enough runs to amortize their fixed
+# cost when n is large.  The chunk's words themselves are never held.
 MC_CHUNK_BYTES = 1 << 22
 MC_CHUNK_MIN_ROWS = 1024
-# The most memory one batch may hold, as `_over_batches` counts it: one
-# chunk of words, its step codes and compares, t and d, and values per run.
+# A chunk's words are drawn and classified in blocks of about this many
+# bytes (at least one run), small enough to stay in a 2 MiB L2 cache.
+MC_WORD_BLOCK_BYTES = 1 << 18
+# The most memory one batch may hold, as `_over_batches` counts it: an
+# upper bound that charges a whole chunk of words, its step codes and a
+# compare, t and d, and two vectors of values per run.
 MC_BATCH_BYTES = 1 << 29
 
 
@@ -114,9 +120,10 @@ class PathStatistic:
     per_batch maps the (runs x steps) assignment and imbalance matrices of
     a Monte Carlo row chunk, or of every path in `enumerate_exact`, to one
     dyadic float per run from that run's own row; the oracle reads each
-    exactly.  d may be int16, so per_batch widens before arithmetic that
-    can leave that range.  last_step, when given, is the last step it reads
-    (its matrices may end there); exact maps (n, params) to the expectation.
+    exactly.  d may be int8 or int16, so per_batch widens before arithmetic
+    that can leave that range.  last_step, when given, is the last step it
+    reads (its matrices may end there); exact maps (n, params) to the
+    expectation.
     """
 
     name: str
@@ -275,8 +282,8 @@ def _chunk_rows(n: int) -> int:
 
 
 def _imbalance_dtype(n: int) -> np.dtype:
-    """The narrowest integer type of the walk's d that holds +-n."""
-    return np.dtype(np.int16 if n < 32768 else np.int64)
+    """The narrowest integer type of the walk's d that holds +-n: |D| <= n."""
+    return np.dtype(np.int8 if n < 128 else np.int16 if n < 32768 else np.int64)
 
 
 def _word_limit(x: float) -> int:
@@ -298,14 +305,16 @@ def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int,
     > 0; the word is tested against `_word_limit` of each, which is exact,
     so the steps are those of `rng.random`'s doubles.  Only the first
     `steps` steps (default n) are walked, but each run draws its n words.
-    Chunks hold `_chunk_rows(n)` runs (the last one fewer): consecutive
-    draws continue one stream, so the chunks see the words of a single
-    (size, n) draw.  Each chunk is turned step-major once, so every step
-    reads and writes contiguous vectors of runs.
+    Chunks hold `_chunk_rows(n)` runs (the last one fewer).  A chunk's
+    words are drawn in blocks of about MC_WORD_BLOCK_BYTES and each block's
+    compares are written step-major into the chunk's int8 step codes, so
+    only one block of words is held; consecutive draws continue one
+    stream, so the blocks see the words of a single (size, n) draw.  Every
+    step then reads and writes contiguous vectors of runs.
 
     t is a C-ordered (rows, steps) int8 matrix and d the (rows, steps)
-    transpose of a step-major matrix, int16 (int64 from n = 32768 on).  Both
-    are views of two buffers allocated once and overwritten by the next
+    transpose of a step-major matrix, `_imbalance_dtype(n)`.  Both are
+    views of buffers allocated once per batch and overwritten by the next
     chunk, so a caller reads each chunk before it asks for the next.
     """
     steps = n if steps is None else steps
@@ -313,30 +322,33 @@ def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int,
     p_top = np.uint64(_word_limit(p) - 1)
     half_lim, q_lim = np.uint64(_word_limit(0.5)), np.uint64(_word_limit(1.0 - p))
     rows = min(_chunk_rows(n), size)
+    block = min(max(MC_WORD_BLOCK_BYTES // (8 * n), 1), rows)
+    flags = np.empty((block, steps), dtype=np.bool_)
+    codes = np.empty((steps, rows), dtype=np.int8)
     t = np.empty((rows, steps), dtype=np.int8)
     d = np.empty((steps, rows), dtype=_imbalance_dtype(n))
     for lo in range(0, size, rows):
         m = min(rows, size - lo)
-        w = rng.bit_generator.random_raw((m, n))[:, :steps].T
-        # code = 2 * #{u < p, u < 1/2, u < q} - 3 is odd, and as q <= 1/2 <= p
-        # the step goes up iff code > 2 sign(D_{j-1})
-        code = (w <= p_top).view(np.int8)
-        code += (w < half_lim).view(np.int8)
-        code += (w < q_lim).view(np.int8)
-        del w  # the chunk's words go before its steps are copied
-        code = np.ascontiguousarray(code)
-        code += code
-        code -= 3
+        for a in range(0, m, block):
+            b = min(a + block, m)
+            w = rng.bit_generator.random_raw((b - a, n))[:, :steps]
+            # code = 2 * #{u < p, u < 1/2, u < q} - 3 is odd, and as q <= 1/2 <= p
+            # the step goes up iff code > 2 sign(D_{j-1})
+            code = np.less_equal(w, p_top, out=flags[:b - a]).view(np.int8)
+            code += w < half_lim
+            code += w < q_lim
+            code += code
+            code -= 3
+            codes[:, a:b] = code.T
         sign = np.zeros(m, dtype=np.int8)
         prev = np.zeros(m, dtype=d.dtype)
-        for j, step in enumerate(code):
+        for j, step in enumerate(codes[:, :m]):
             step -= sign
             step -= sign
             np.sign(step, out=step)
             prev = np.add(prev, step, out=d[j, :m])
             np.sign(prev, out=sign, casting="unsafe")
-        t[:m] = code.T
-        del code, step  # before the next chunk's words are drawn
+        t[:m] = codes[:, :m].T
         yield t[:m], d[:, :m].T
 
 
@@ -358,16 +370,18 @@ def _over_batches(n, params, seed, sizes, chunk_values, steps=None):
     (`_walk_chunks` to step `steps`), computed from that run's own row, and
     the chunks fill one float64 vector per batch.  The batches are walked
     one at a time on the calling thread, each as its vector is asked for.
-    A batch over MC_BATCH_BYTES is refused before any is walked.  It peaks
-    while a chunk of raw words (8 B a cell) is compared, beside its step
-    codes and one compare (1 B a cell each), t and d (1 B and d's width),
-    and this batch's values (8 B a run).  Callers consume each vector
-    before they ask for the next; the count still allows 16 B a run, so
-    it keeps the headroom of a second vector and refuses what it refused.
+    A batch over MC_BATCH_BYTES is refused before any is walked.  The
+    count is an upper bound on the walk's peak: it charges a chunk 8 B a
+    cell for raw words, 1 B each for step codes and a compare, 1 B for t
+    and d's width (at least 2 B), and each run 16 B of values.  The walk
+    holds only a block of words, the chunk's codes, t and d (3 to 10 B a
+    cell) and this batch's values (8 B a run), since callers consume each
+    vector before they ask for the next; the count is kept as it was, so
+    it refuses exactly what it refused.
     """
     size = max(sizes, default=0)
     cells = min(size, _chunk_rows(n)) * n
-    need = cells * (11 + _imbalance_dtype(n).itemsize) + 16 * size
+    need = cells * (11 + max(_imbalance_dtype(n).itemsize, 2)) + 16 * size
     if need > MC_BATCH_BYTES:
         raise ValueError(f"a batch of {size} runs of n = {n} needs {need} bytes, over "
                          f"the {MC_BATCH_BYTES} a batch may hold; use a smaller --batch-size")
@@ -513,11 +527,11 @@ def rank_pvalue_mc(
     if replicates < 1:
         raise ValueError("need at least 1 replicate")
 
-    # w of up to 2**17 cells at a time, in blocks of a multiple of 4 rows:
+    # w of up to 2**15 cells at a time, in blocks of a multiple of 4 rows:
     # OpenBLAS (0.3.31, Haswell kernel) gives each row the bits of the
     # whole-batch product when its block starts at a multiple of 4, and runs
     # a block this small on the calling thread
-    block = max((1 << 17) // a.size // 4 * 4, 4)
+    block = max((1 << 15) // a.size // 4 * 4, 4)
 
     def w(t, _d) -> np.ndarray:
         return np.concatenate([t[lo:lo + block].astype(float) @ a

@@ -26,6 +26,7 @@ from bcdexact.cli import FLOAT_SIGMA_N_CAP, SIMULATE_N_CAPS, main
 from bcdexact.design import DesignParams
 from bcdexact.simulate import (
     DEFAULT_BATCH_SIZE,
+    MC_WORD_BLOCK_BYTES,
     PathStatistic,
     _chunk_rows,
     _over_batches,
@@ -102,19 +103,23 @@ def test_generate_sequence_equals_the_stepwise_walk(n):
             assert np.array_equal(got, stepwise_sequence(n, p, seed)), (n, p, seed)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 40, 80, 127, 128, 300])
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 40, 80, 127, 128, 300, 301])
 def test_chunked_walk_equals_the_lockstep_walk(n):
-    rows = _chunk_rows(n)
-    sizes = sorted({1, 7, rows - 1, rows, rows + 1, 1 << 16})
+    # a batch one run short of a word block is drawn in one block, one run
+    # past it ends a block inside its chunk, and one run past a chunk ends
+    # its last chunk inside a block; each is also walked stopped early
+    rows, block = _chunk_rows(n), MC_WORD_BLOCK_BYTES // (8 * n)
+    sizes = sorted({1, 7, block - 1, block + 1, rows - 1, rows, rows + 1, 1 << 16})
     for p in PS:
         # a run reads only its own n uniforms, so the first `size` runs of
         # one large lock-step batch are the lock-step batch of that size
         want_t, want_d = lockstep_batch(n, p, _stream(n, 3), sizes[-1])
         for size in sizes:
-            t, d = walked(n, p, _stream(n, 3), size)
-            assert t.shape == d.shape == (size, n)
-            assert np.array_equal(t, want_t[:size]), (n, p, size)
-            assert np.array_equal(d, want_d[:size]), (n, p, size)
+            for steps in sorted({n, max(2 * n // 3, 1)}):
+                t, d = walked(n, p, _stream(n, 3), size, steps)
+                assert t.shape == d.shape == (size, steps)
+                assert np.array_equal(t, want_t[:size, :steps]), (n, p, size, steps)
+                assert np.array_equal(d, want_d[:size, :steps]), (n, p, size, steps)
 
 
 def test_a_small_lockstep_batch_is_a_prefix_of_a_large_one():
@@ -136,7 +141,9 @@ def test_a_walk_stopped_early_takes_the_first_steps_of_the_whole_walk(n, steps):
 
 
 def test_imbalance_is_narrow_until_n_reaches_32768():
-    assert walked(300, 0.7, _stream(0), 5)[1].dtype == np.int16
+    # |D| <= n, so int8 holds it below n = 128 and int16 below 32768
+    for n, dtype in [(127, np.int8), (128, np.int16), (300, np.int16)]:
+        assert walked(n, 0.7, _stream(0), 5)[1].dtype == dtype, n
     t, d = walked(32768, 0.7, _stream(0), 2)
     assert d.dtype == np.int64
     assert np.array_equal(d, np.cumsum(t, axis=1))
@@ -211,14 +218,16 @@ def test_seeded_estimates_are_unchanged(monkeypatch, text, n, batch):
 
 
 def test_the_named_statistics_widen_a_narrow_imbalance():
-    # all steps up: D reaches 300, whose square wraps in int16 (past 181)
-    n = 300
-    t = np.ones((2, n), dtype=np.int8)
-    d = np.cumsum(t, axis=1, dtype=np.int16).T.copy().T
-    for stat, want in [(stat_imbalance_sq(), 90_000.0), (stat_balance(), 0.0),
-                       (stat_correct_guess(n), 0.0), (stat_product(1, n), 1.0)]:
-        values = stat.per_batch(t, d)
-        assert values.dtype == np.float64 and values.tolist() == [want, want], stat.name
+    # all steps up: D reaches n, whose square wraps in int8 at 127 (past 11)
+    # and in int16 at 300 (past 181)
+    for n, dtype in [(127, np.int8), (300, np.int16)]:
+        t = np.ones((2, n), dtype=np.int8)
+        d = np.cumsum(t, axis=1, dtype=dtype).T.copy().T
+        for stat, want in [(stat_imbalance_sq(), float(n * n)), (stat_balance(), 0.0),
+                           (stat_correct_guess(n), 0.0), (stat_product(1, n), 1.0)]:
+            values = stat.per_batch(t, d)
+            assert values.dtype == np.float64 and values.tolist() == [want, want], \
+                (n, stat.name)
 
 
 # Runs argv and prints its wall time and peak RSS.  A child's peak RSS
@@ -251,10 +260,14 @@ def run_measured(*args):
 
 
 def test_simulate_at_n_1000_stays_within_its_time_and_memory_bound():
-    # measured 1.8 to 2.5 s and 52.6 MB over 3 runs, batches consumed chunk
-    # by chunk (2-vCPU Xeon VM); 2.2 to 2.5 s and 236.5 MB holding each
-    # batch's t and d whole, and 4.6 to 4.8 s and 1.66 GB for the lock-step
-    # walk.  The bounds leave 2x its slowest time and 2.5x its peak.
+    # measured 1.28 to 1.34 s and 40.9 MB over 3 runs, each chunk's words
+    # drawn in blocks (2-vCPU VM), where drawing them whole took 1.33 to
+    # 1.40 s and 49.6 to 49.8 MB on the same VM.  Earlier, on another
+    # 2-vCPU Xeon VM: 1.8 to 2.5 s and 52.6 MB with batches consumed chunk
+    # by chunk, 2.2 to 2.5 s and 236.5 MB holding each batch's t and d
+    # whole, and 4.6 to 4.8 s and 1.66 GB for the lock-step walk.  The
+    # bounds were set at 2x the slowest time and 2.5x the peak of the
+    # chunk-by-chunk walk.
     out, wall, maxrss_kb = run_measured("simulate", "--n", "1000", "--p", "0.7", "--statistic",
                                         "balance", "--reps", "100000", "--seed", "1")
     assert out[:2] == ["label,value", "estimate,0.5726"]
@@ -341,8 +354,9 @@ def test_a_batch_holds_one_chunk_and_its_values(n, run):
     # one chunk's words, step codes, a compare, t and d at 13 B a cell plus
     # 16 B a run: 14.4 MB at n = 1000 and 7.9 MB at n = 256, as
     # `_over_batches` counts it.  Measured peaks 13.8 and 7.3 MB with one
-    # batch (8 B a run of values); the whole batch's t, d and values took
-    # 211 and 185 MB.
+    # batch (8 B a run of values) while each chunk's words were drawn whole,
+    # 5.2 and 3.2 MB drawn in blocks; the whole batch's t, d and values
+    # took 211 and 185 MB.
     counted = _chunk_rows(n) * n * 13 + 16 * DEFAULT_BATCH_SIZE
     peak = traced_peak(run)
     assert peak <= counted, (peak, counted)
@@ -362,3 +376,24 @@ def test_a_caller_drops_each_batch_s_values_before_the_next_batch(n, run):
     allowed = _chunk_rows(n) * n * 13 + 12 * DEFAULT_BATCH_SIZE
     peak = traced_peak(run)
     assert peak <= allowed, (peak, allowed)
+
+
+@pytest.mark.parametrize("n,run", [
+    (80, lambda: mc_estimate(80, DesignParams(0.7), parse_statistic("balance", 80),
+                             DEFAULT_BATCH_SIZE, seed=1)),
+    (1000, lambda: mc_estimate(1000, DesignParams(0.7), parse_statistic("balance", 1000),
+                               DEFAULT_BATCH_SIZE, seed=1)),
+    (32, lambda: rank_pvalue_mc(np.random.default_rng(1).normal(size=32), 3.0,
+                                DesignParams(0.7), DEFAULT_BATCH_SIZE, seed=1)),
+    (256, lambda: rank_pvalue_mc(np.random.default_rng(1).normal(size=256), 3.0,
+                                 DesignParams(0.7), DEFAULT_BATCH_SIZE, seed=1)),
+], ids=["mc_estimate-80", "mc_estimate-1000", "rank_pvalue_mc-32", "rank_pvalue_mc-256"])
+def test_a_batch_holds_no_chunk_of_words(n, run):
+    # a chunk's step codes, t and d take 3 B a cell below n = 128 and 4 B
+    # from there, beside one 256 KiB block of words and the batch's values
+    # (8 B a run).  Measured peaks 2.7 and 5.2 MB for mc_estimate at n = 80
+    # and 1000, 2.8 and 3.2 MB for rank_pvalue_mc at n = 32 and 256; drawing
+    # each chunk's words whole peaked at 7.3, 13.8, 7.4 and 7.3 MB.
+    bound = _chunk_rows(n) * n * 6 + 16 * DEFAULT_BATCH_SIZE
+    peak = traced_peak(run)
+    assert peak <= bound, (peak, bound)
