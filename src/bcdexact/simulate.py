@@ -11,8 +11,8 @@ same steps as comparing numpy's uniform double of that word with p, 1/2
 and q (`_word_limit`).  A batch is walked and consumed one row chunk at a
 time (`_walk_chunks`), which stops at the last step its statistic reads:
 each chunk's words are drawn in cache-sized blocks and turned straight
-into int8 step codes, and its paths become one float64 value per run, so
-a batch holds one chunk of codes and paths and its vector of values.
+into int8 step codes, rewritten in place as its steps t, so a batch holds
+one chunk of t and d and its vector of values, one float64 per run.
 
 A statistic is written once, as `PathStatistic.per_batch`.
 `enumerate_exact` scores all 2^n assignment paths with it and sums them
@@ -121,9 +121,10 @@ class PathStatistic:
     a Monte Carlo row chunk, or of every path in `enumerate_exact`, to one
     dyadic float per run from that run's own row; the oracle reads each
     exactly.  d may be int8 or int16, so per_batch widens before arithmetic
-    that can leave that range.  last_step, when given, is the last step it
-    reads (its matrices may end there); exact maps (n, params) to the
-    expectation.
+    that can leave that range.  t and d may be transposed views, so a
+    per_batch that hands t to BLAS makes its own C-ordered copy.  last_step,
+    when given, is the last step it reads (its matrices may end there);
+    exact maps (n, params) to the expectation.
     """
 
     name: str
@@ -312,10 +313,10 @@ def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int,
     stream, so the blocks see the words of a single (size, n) draw.  Every
     step then reads and writes contiguous vectors of runs.
 
-    t is a C-ordered (rows, steps) int8 matrix and d the (rows, steps)
-    transpose of a step-major matrix, `_imbalance_dtype(n)`.  Both are
-    views of buffers allocated once per batch and overwritten by the next
-    chunk, so a caller reads each chunk before it asks for the next.
+    t and d are (rows, steps) transposes of the step-major steps, written
+    over the codes, and imbalances, `_imbalance_dtype(n)`.  Both are views
+    of buffers allocated once per batch and overwritten by the next chunk,
+    so a caller reads each chunk before it asks for the next.
     """
     steps = n if steps is None else steps
     # p's limit is 2**64 at p = 1, past uint64, so its test is w <= limit - 1
@@ -323,9 +324,7 @@ def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int,
     half_lim, q_lim = np.uint64(_word_limit(0.5)), np.uint64(_word_limit(1.0 - p))
     rows = min(_chunk_rows(n), size)
     block = min(max(MC_WORD_BLOCK_BYTES // (8 * n), 1), rows)
-    flags = np.empty((block, steps), dtype=np.bool_)
     codes = np.empty((steps, rows), dtype=np.int8)
-    t = np.empty((rows, steps), dtype=np.int8)
     d = np.empty((steps, rows), dtype=_imbalance_dtype(n))
     for lo in range(0, size, rows):
         m = min(rows, size - lo)
@@ -334,7 +333,7 @@ def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int,
             w = rng.bit_generator.random_raw((b - a, n))[:, :steps]
             # code = 2 * #{u < p, u < 1/2, u < q} - 3 is odd, and as q <= 1/2 <= p
             # the step goes up iff code > 2 sign(D_{j-1})
-            code = np.less_equal(w, p_top, out=flags[:b - a]).view(np.int8)
+            code = (w <= p_top).view(np.int8)
             code += w < half_lim
             code += w < q_lim
             code += code
@@ -348,8 +347,7 @@ def _walk_chunks(n: int, p: float, rng: np.random.Generator, size: int,
             np.sign(step, out=step)
             prev = np.add(prev, step, out=d[j, :m])
             np.sign(prev, out=sign, casting="unsafe")
-        t[:m] = codes[:, :m].T
-        yield t[:m], d[:, :m].T
+        yield codes[:, :m].T, d[:, :m].T
 
 
 def _batch_sizes(replicates: int, batch_size: int) -> list[int]:
@@ -374,10 +372,11 @@ def _over_batches(n, params, seed, sizes, chunk_values, steps=None):
     count is an upper bound on the walk's peak: it charges a chunk 8 B a
     cell for raw words, 1 B each for step codes and a compare, 1 B for t
     and d's width (at least 2 B), and each run 16 B of values.  The walk
-    holds only a block of words, the chunk's codes, t and d (3 to 10 B a
-    cell) and this batch's values (8 B a run), since callers consume each
-    vector before they ask for the next; the count is kept as it was, so
-    it refuses exactly what it refused.
+    holds only a block of words, the chunk's steps (t) and d, 2 B a cell
+    below n = 128, 3 B up to 32,767 and 9 B from there, and this batch's
+    values (8 B a run), since callers consume each vector before they ask
+    for the next; the count is kept as it was, so it refuses exactly what
+    it refused.
     """
     size = max(sizes, default=0)
     cells = min(size, _chunk_rows(n)) * n
@@ -527,14 +526,14 @@ def rank_pvalue_mc(
     if replicates < 1:
         raise ValueError("need at least 1 replicate")
 
-    # w of up to 2**15 cells at a time, in blocks of a multiple of 4 rows:
-    # OpenBLAS (0.3.31, Haswell kernel) gives each row the bits of the
-    # whole-batch product when its block starts at a multiple of 4, and runs
-    # a block this small on the calling thread
+    # w of up to 2**15 cells at a time, in C-ordered blocks of a multiple of
+    # 4 rows: OpenBLAS (0.3.31, Haswell kernel) gives each row the bits of
+    # the whole-batch product when its block starts at a multiple of 4, and
+    # runs a block this small on the calling thread
     block = max((1 << 15) // a.size // 4 * 4, 4)
 
     def w(t, _d) -> np.ndarray:
-        return np.concatenate([t[lo:lo + block].astype(float) @ a
+        return np.concatenate([t[lo:lo + block].astype(float, order="C") @ a
                                for lo in range(0, t.shape[0], block)])
 
     def hits(values) -> int:

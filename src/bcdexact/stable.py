@@ -237,7 +237,7 @@ def _replay_batch(n, k, l, p, q, big, length) -> np.ndarray:
         # it going while prod >= M (the kernel's absorb_small)
         np.less(prod, guard, out=calm)
         np.equal(prod, guard, out=moved)
-        if moved.any():
+        if np.count_nonzero(moved):
             calm |= moved & (take_large > 0)
         large += take_large
         i += 1.0

@@ -29,6 +29,7 @@ from bcdexact.simulate import (
     MC_WORD_BLOCK_BYTES,
     PathStatistic,
     _chunk_rows,
+    _imbalance_dtype,
     _over_batches,
     _stream,
     _walk_chunks,
@@ -71,7 +72,8 @@ def walked(n, p, rng, size, steps=None):
     """The (size, steps) t and d of `_walk_chunks`, its chunks stacked."""
     chunks = []
     for t, d in _walk_chunks(n, p, rng, size, steps):
-        assert t.dtype == np.int8 and t.flags.c_contiguous
+        # t is the transpose of the step-major steps
+        assert t.dtype == np.int8 and t.strides[0] == 1
         assert t.shape == d.shape == (t.shape[0], n if steps is None else steps)
         chunks.append((t.copy(), d.copy()))
     return np.concatenate([t for t, _ in chunks]), np.concatenate([d for _, d in chunks])
@@ -389,11 +391,14 @@ def test_a_caller_drops_each_batch_s_values_before_the_next_batch(n, run):
                                  DesignParams(0.7), DEFAULT_BATCH_SIZE, seed=1)),
 ], ids=["mc_estimate-80", "mc_estimate-1000", "rank_pvalue_mc-32", "rank_pvalue_mc-256"])
 def test_a_batch_holds_no_chunk_of_words(n, run):
-    # a chunk's step codes, t and d take 3 B a cell below n = 128 and 4 B
-    # from there, beside one 256 KiB block of words and the batch's values
-    # (8 B a run).  Measured peaks 2.7 and 5.2 MB for mc_estimate at n = 80
-    # and 1000, 2.8 and 3.2 MB for rank_pvalue_mc at n = 32 and 256; drawing
-    # each chunk's words whole peaked at 7.3, 13.8, 7.4 and 7.3 MB.
-    bound = _chunk_rows(n) * n * 6 + 16 * DEFAULT_BATCH_SIZE
+    # a chunk's steps (which are t) and d take 1 B a cell plus d's width;
+    # 1/2 B a cell and 16 B a run leave room for one 256 KiB block of words
+    # and its compares and the batch's values (8 B a run).  Measured peaks
+    # 2.14 and 4.15 MB for mc_estimate at n = 80 and 1000, 2.29 and 2.68 MB
+    # for rank_pvalue_mc at n = 32 and 256.  A separate C-ordered copy of
+    # t peaked at 2.67, 5.17, 2.81 and 3.21 MB, over this bound, and
+    # drawing each chunk's words whole at 7.3, 13.8, 7.4 and 7.3 MB.
+    width = _imbalance_dtype(n).itemsize
+    bound = _chunk_rows(n) * n * (1 + width + 0.5) + 16 * DEFAULT_BATCH_SIZE
     peak = traced_peak(run)
     assert peak <= bound, (peak, bound)
