@@ -49,6 +49,10 @@ from . import tables
 
 __all__ = ["FLOAT_SIGMA_N_CAP", "RATIONAL_N_CAP", "SIMULATE_N_CAPS", "STATIONARY_MAX_K", "main"]
 
+# Largest n (or --max-k) in rational mode.  At this size `sigma` and
+# `eigen --mode rational --p 501/1000` took 0.25 to 0.34 s and 34 MB peak
+# RSS as a child process, as CSV or JSON (2-vCPU Xeon VM), most of it
+# start-up; the exact Sigma(64) itself takes about 16 ms in process.
 RATIONAL_N_CAP = 64
 # Largest float covariance matrix the CLI builds.  Sigma's rows are n numpy
 # vector-matrix products and each Jacobi sweep is O(n^3) in numpy; at this
@@ -79,17 +83,24 @@ def _digits(x: int) -> int:
     return d + (x >= 10**d)
 
 
+def _fraction_text(value: Fraction) -> str:
+    """'a/b', read off one as_integer_ratio(); refused by name past the
+    interpreter's int-to-str digit limit."""
+    numerator, denominator = value.as_integer_ratio()
+    try:
+        return f"{numerator}/{denominator}"
+    except ValueError:
+        digits = max(_digits(numerator), _digits(denominator))
+        raise ValueError(
+            f"a rational value has {digits} digits, more than the "
+            f"{sys.get_int_max_str_digits()} that Python converts to text; use --mode float"
+        ) from None
+
+
 def _encode(value):
     """JSON-safe scalar; fractions become 'a/b' strings."""
     if isinstance(value, Fraction):
-        try:
-            return f"{value.numerator}/{value.denominator}"
-        except ValueError:  # the interpreter's int-to-str digit limit
-            digits = max(_digits(value.numerator), _digits(value.denominator))
-            raise ValueError(
-                f"a rational value has {digits} digits, more than the "
-                f"{sys.get_int_max_str_digits()} that Python converts to text; use --mode float"
-            ) from None
+        return _fraction_text(value)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, (np.floating,)):
@@ -99,10 +110,10 @@ def _encode(value):
 
 def _cell(value) -> str:
     """Full-precision CSV rendering of one scalar."""
+    if type(value) is Fraction:
+        return _fraction_text(value)
     if value is None:
         return ""
-    if isinstance(value, Fraction):
-        return _encode(value)
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -24,7 +24,9 @@ at 4u for u steps, not the 4(u+|k|) of D_{u+|k|}.
 `sigma` builds each row from the law of D_{i-1} and a table of cumulative
 first-return masses: in float64 for a float p, and on integer numerators
 for a Fraction p = A/B, where every mass, first-return mass and t_k has a
-power of B or 2B as its denominator, so each entry is one Fraction.  Rows
+power of B or 2B as its denominator, so each entry is one Fraction.  The
+rational laws come as ints from `exact._integer_masses` and each column u
+of the table is at its natural scale B^u.  Rows
 in both arithmetics take their weights from one `_row_weights` and their
 first-return table from one `_first_returns`.
 
@@ -49,7 +51,7 @@ from typing import Callable
 import numpy as np
 
 from .design import DesignParams, Number, transition_prob
-from .exact import _term, _two_sided_scan, pmf_dn, pmf_masses
+from .exact import _integer_masses, _term, _two_sided_scan, pmf_dn
 
 __all__ = [
     "AssignmentCovariance",
@@ -206,7 +208,7 @@ class AssignmentCovariance:
 
 
 def _first_returns(n: int, params: DesignParams):
-    """(F, top) with F[m, u] = fhat_m(u) * top for 0 <= m, u < n.
+    """(F, scale) with F[m, u] = fhat_m(u) * scale[u] for 0 <= m, u < n.
 
     Each row of first-return masses comes from the ratio recurrence
 
@@ -214,32 +216,36 @@ def _first_returns(n: int, params: DesignParams):
 
     with a = (l + m)/2 steps toward balance and b = (l - m)/2 away, so no
     binomial is ever formed.  Row 0 is the degenerate visit, fhat_0 = 1.
-    A float p runs it in float64 with top = 1.  A Fraction p = A/B runs
-    g_m(l) = f_m(l) B^l on integers, with A for p, A (B - A) for p q and
-    `//` for the division: the quotient is g_m(l + 2)/(A (B - A)), a ballot
-    number times a power of A and of B - A, so it divides exactly; then
-    top = B^(n-1).  Step b advances every row m with m + 2b < n at once,
-    so each float row makes its scalar loop's multiplies in that order.
+    A float p runs it in float64, and F is unscaled (scale = 1).  A
+    Fraction p = A/B runs g_m(l) = f_m(l) B^l on integers, with A for p,
+    A (B - A) for p q and `//` for the division: the quotient is
+    g_m(l + 2)/(A (B - A)), a ballot number times a power of A and of
+    B - A, so it divides exactly.  Column u is then at its natural scale
+    B^u, F[:, u] = F[:, u - 1] B + g(u), and scale holds B^0 .. B^(n-1).
+    Step b advances every row m with m + 2b < n at once, so each float row
+    makes its scalar loop's multiplies in that order.
     """
     if params.is_exact:
         big_a, big_b = params.p.numerator, params.p.denominator
-        p, pq, div = big_a, big_a * (big_b - big_a), operator.floordiv
-        scale = np.array([big_b ** (n - 1 - l) for l in range(n)], dtype=object)
+        p, pq, div, dtype = big_a, big_a * (big_b - big_a), operator.floordiv, object
     else:
-        p, pq, div = params.p, params.p * params.q, operator.truediv
-        scale = np.ones(n)
-    f = np.zeros((n, n), dtype=scale.dtype)
+        p, pq, div, dtype = params.p, params.p * params.q, operator.truediv, float
+    f = np.zeros((n, n), dtype=dtype)
     f[0, 0] = 1
-    k = np.arange(n + 1).astype(scale.dtype)  # Python ints for a Fraction p
+    k = np.arange(n + 1).astype(dtype)  # Python ints for a Fraction p
     rising = k * (k + 1)
-    term = np.array([p**j for j in range(1, n)], dtype=scale.dtype)  # a numpy power of A wraps
+    term = np.array([p**j for j in range(1, n)], dtype=dtype)  # a numpy power of A wraps
     for b in range(n // 2):
         lanes = n - 1 - 2 * b  # rows m = 1 .. lanes reach l = m + 2b < n
         term = term[:lanes]
         f.reshape(-1)[n + 1 + 2 * b :: n + 1][:lanes] = term  # f[m, m + 2b]
         # l (l + 1) at l = m + 2b and a + 1 = m + b + 1, for m = 1 .. lanes
         term = div(term * rising[1 + 2 * b : n], k[b + 2 : n + 1 - b] * (b + 1)) * pq
-    return np.cumsum(f * scale, axis=1), scale.item(0)
+    if not params.is_exact:
+        return np.cumsum(f, axis=1), 1
+    for u in range(1, n):  # rows m > u are 0 up to column u
+        f[: u + 1, u] += f[: u + 1, u - 1] * big_b
+    return f, [big_b**u for u in range(n)]
 
 
 def _row_weights(laws: np.ndarray, t_fair, t_up, t_down):
@@ -283,9 +289,9 @@ def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
     and F from `_first_returns` in the arithmetic of p.  A float p builds
     it in float64 from one closed-form scan of the laws.  A Fraction
     p = A/B builds the same rows on integers: the laws times (2B)^(i-1)
-    from one `pmf_masses` call, T_k = 2B t_k (B, 2(B - A) or 2A) and the
-    table times top = B^(n-1), so each entry is x / den with
-    den = (2B)^(i+1) B^(n-1): one Fraction per entry.  The
+    straight from `exact._integer_masses`, T_k = 2B t_k (B, 2(B - A) or
+    2A) and column u of the table times B^u, so entry (i, i+1+u) is
+    (4x - d)/d with d = (2B)^(i+1) B^u: one Fraction per entry.  The
     lower triangle mirrors the upper one, so the matrix is exactly
     symmetric with an exact unit diagonal.  joint_assignment computes the
     same entries one at a time and is kept as the cross-check.
@@ -294,13 +300,12 @@ def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
         raise ValueError(f"n must be >= 1, got {n}")
     lane_m = [m for m in range(n - 1) for _ in range(m % 2, m + 1, 2)]
     lane_k = [k for m in range(n - 1) for k in range(m % 2, m + 1, 2)]
-    table, top = _first_returns(n, params)
+    table, scale = _first_returns(n, params)
     if params.is_exact:
         big_a, big_b = params.p.numerator, params.p.denominator
         laws = np.zeros((n - 1, n - 1), dtype=object)
-        points = list(zip(lane_m, lane_k))
-        for (m, k), mass in zip(points, pmf_masses(points, params)):
-            laws[m, k] = (2 * big_b) ** m // mass.denominator * mass.numerator
+        masses = _integer_masses(list(zip(lane_m, lane_k)), params)
+        laws[lane_m, lane_k] = np.array(masses, dtype=object)
         weights, consts = _row_weights(laws, big_b, 2 * (big_b - big_a), 2 * big_a)
         out = np.full((n, n), Fraction(1))
     else:
@@ -311,12 +316,14 @@ def sigma(n: int, params: DesignParams) -> AssignmentCovariance:
         out = np.ones((n, n))
     for i in range(1, n):
         m = slice(i % 2, i + 1, 2)
-        x = weights[i - 1, m] @ table[m, : n - i] + consts[i - 1] * top
+        x = weights[i - 1, m] @ table[m, : n - i]
         if params.is_exact:
-            den = (2 * big_b) ** (i + 1) * top
-            out[i - 1, i:] = [Fraction(4 * v - den, den) for v in x]
+            # entry (i, i+1+u) is (4 x_u + (4 c_i - d) B^u) / (d B^u), d = (2B)^(i+1)
+            d = (2 * big_b) ** (i + 1)
+            shift = 4 * consts[i - 1] - d
+            out[i - 1, i:] = [Fraction(4 * v + shift * s, d * s) for v, s in zip(x.tolist(), scale)]
         else:
-            out[i - 1, i:] = 4 * x - 1
+            out[i - 1, i:] = 4 * (x + consts[i - 1]) - 1
     upper = np.triu_indices(n, 1)
     out[upper[::-1]] = out[upper]
     return AssignmentCovariance(n=n, params=params, matrix=out)

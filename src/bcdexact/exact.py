@@ -13,8 +13,12 @@ and, for even n,
     P(D_n = 0) = p^(n/2)
                  * sum_{l=0}^{n/2 - 1} (n-2l)/(n+2l) * C(n/2 + l, l) * q^l.
 
-A Fraction p = A/B sums each mass in integers (every summand times a
-power of B is an integer) and makes one Fraction per mass.  A float p
+A Fraction p = A/B gets each mass times (2B)^n as an int from one
+integer evaluator, `_integer_masses`: every summand's ratio times
+binomial is a ballot number of a = (n + k)/2 alone, so one Horner pass
+per a, on ballot numbers taken each from the last, sums every mass of that
+a.  `pmf_masses` makes one Fraction per mass from it, and the rational
+rows of `covariance.sigma` read the ints directly.  A float p
 evaluates each summand in float64 through the guarded product kernel in
 `stable`, which replays the kernel on all the summands a call needs at
 once.  A forward recurrence on the same law (`dp_pmf_dn`) is kept as an
@@ -99,7 +103,7 @@ def _term(n: int, k: int, l: int, params: DesignParams, steps: int) -> Number:
     For a float p the guarded product of `term_factors` in the window
     M = 4 steps (a FactoredProduct if it banks).  A Fraction p is asked
     only for k = 0 (the first-return masses of `covariance.first_visit`;
-    rational laws sum in `_exact_mass`), and gets that summand exactly.
+    rational laws sum in `_integer_masses`), and gets that summand exactly.
     """
     if not params.is_exact:
         return stable_term_product(*term_factors(n, k, l, params), 4.0 * steps)
@@ -107,30 +111,59 @@ def _term(n: int, k: int, l: int, params: DesignParams, steps: int) -> Number:
     return Fraction(n - 2 * l, n + 2 * l) * math.comb(n // 2 + l, l) * p ** (n // 2) * q**l
 
 
-def _exact_mass(n: int, k: int, count: int, params: DesignParams) -> Fraction:
-    """P(D_n = k), k >= 0, from its summands l < count, on integer numerators.
+def _summand_count(n: int, k: int, q) -> int:
+    """How many summands l of P(D_n = k), 0 <= k <= n of n's parity, can be
+    nonzero: all of the closed form's, or only l = 0 at q = 0."""
+    if not q:
+        return 1
+    return (n - k) // 2 + 1 if k else n // 2
 
-    With a = (n + k)/2, the ratio times binomial (a - l)/(a + l) C(a + l, l)
-    of summand l is an integer (a ballot number).  So with p = A/B in
-    lowest terms and q = Q/B, the sum over l < count times B^count is the
-    integer Horner sum acc = (acc + ballot_l Q^l) B, and the mass is
 
-        A^((n-k)/2) Q^(k-1) acc / (2 B^((n-k)/2 + k - 1 + count))   (k > 0)
-        A^(n/2) acc / B^(n/2 + count)                              (k = 0),
+def _integer_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[int]:
+    """P(D_n = k) (2B)^n as an int for each (n, k), 0 <= k <= n of n's
+    parity, at a Fraction p = A/B in lowest terms.
 
-    one Fraction, equal to the sum of the closed form's summands.
+    With a = (n + k)/2, summand l's ratio times binomial (a - l)/(a + l)
+    C(a + l, l) is an integer, the ballot number b_l, and it depends on a
+    alone: b_0 = 1 and b_(l+1) = b_l (a - l - 1)(a + l) / ((a - l)(l + 1)).
+    So with Q = B - A, one Horner pass per a, acc = (acc + b_l Q^l) B,
+    gives acc_c = B^c times the sum of the first c summands' ratio,
+    binomial and q-power for every point of that a at once.  With
+    e = (n - k)/2 and c = `_summand_count` summands, the mass times (2B)^n
+    is
+
+        A^e Q^(k-1) acc_c 2^(n-1) B^(e+1-c)   (k > 0)
+        A^e acc_c 2^n B^(e-c)                 (k = 0),
+
+    where c = e + 1 (k > 0) or e (k = 0), so the power of B is 1, except
+    at q = 0.  The empty walk, n = 0, has mass 1.
     """
     big_a, big_b = params.p.numerator, params.p.denominator
     big_q = big_b - big_a
-    a = (n + k) // 2
-    acc, q_power = 0, 1
-    for l in range(count):
-        acc = (acc + (a - l) * math.comb(a + l, l) // (a + l) * q_power) * big_b
-        q_power *= big_q
-    e = (n - k) // 2
-    if k > 0:
-        return Fraction(big_a**e * big_q ** (k - 1) * acc, 2 * big_b ** (e + k - 1 + count))
-    return Fraction(big_a**e * acc, big_b ** (e + count))
+    counts = [_summand_count(n, k, big_q) for n, k in points]
+    by_a: dict[int, list[tuple[int, int]]] = {}
+    for i, ((n, k), count) in enumerate(zip(points, counts)):
+        by_a.setdefault((n + k) // 2, []).append((count, i))
+    accs = [0] * len(points)
+    for a, wanted in by_a.items():
+        wanted.sort(reverse=True)  # pop the fewest summands first
+        acc, term = 0, 1  # term = b_l Q^l
+        for l in range(wanted[0][0]):
+            if l:
+                term = term * (big_q * (a - l) * (a + l - 1)) // ((a - l + 1) * l)
+            acc = (acc + term) * big_b
+            while wanted and wanted[-1][0] == l + 1:
+                accs[wanted.pop()[1]] = acc
+    masses = []
+    for (n, k), count, acc in zip(points, counts, accs):
+        e = (n - k) // 2
+        if not n:
+            masses.append(1)
+        elif k:
+            masses.append((big_a**e * big_q ** (k - 1) * acc * big_b ** (e + 1 - count)) << n - 1)
+        else:
+            masses.append((big_a**e * acc * big_b ** (e - count)) << n)
+    return masses
 
 
 def pmf_at(n: int, k: int, params: DesignParams) -> Number:
@@ -141,7 +174,8 @@ def pmf_at(n: int, k: int, params: DesignParams) -> Number:
 def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[Number]:
     """P(D_n = k) for each (n, k) of points, in order, from the closed form.
 
-    A Fraction p sums each point in integers (`_exact_mass`).  A float p
+    A Fraction p = A/B sums every point in integers (`_integer_masses`) and
+    makes one Fraction of each, over (2B)^n.  A float p
     replays the guarded kernel on the summands of whole points, at most
     LANE_BATCH of them at a time (`_replayed_masses`), so its working set
     stays bounded however many points a call asks for.  Every float mass
@@ -161,16 +195,16 @@ def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[
         elif n == 0:
             masses.append(params.one)
         else:
-            upper = (n - k) // 2 if k > 0 else n // 2 - 1  # last summand l
-            wanted.append((len(masses), n, k, upper + 1 if q else 1))
+            wanted.append((len(masses), n, k, _summand_count(n, k, q)))
             masses.append(None)
     if not wanted:
         return masses
 
     index, n, k, counts = zip(*wanted)
     if params.is_exact:
-        for i, nj, kj, count in zip(index, n, k, counts):
-            masses[i] = _exact_mass(nj, kj, count, params)
+        two_b = 2 * params.p.denominator
+        for i, nj, mass in zip(index, n, _integer_masses(list(zip(n, k)), params)):
+            masses[i] = Fraction(mass, two_b**nj)
         return masses
     # whole points, in the fewest chunks of at most LANE_BATCH summands,
     # each filled up to about an equal share of the call's summands

@@ -232,6 +232,17 @@ def test_rational_stationary_at_its_cap_stays_within_time_and_memory():
     assert maxrss_kb < 60 * 1024, maxrss_kb
 
 
+@pytest.mark.parametrize("command", ["sigma", "eigen"])
+def test_rational_sigma_at_its_cap_stays_within_time_and_memory(command):
+    # both took 0.25 to 0.34 s and 34 MB at p = 501/1000, as CSV or JSON
+    # (2-vCPU Xeon VM); at p = 7/10 they take less
+    code, wall, maxrss_kb = run_child(
+        command, "--mode", "rational", "--n", str(RATIONAL_N_CAP), "--p", "501/1000")
+    assert code == 0
+    assert wall < 2.0, wall
+    assert maxrss_kb < 60 * 1024, maxrss_kb
+
+
 @pytest.mark.parametrize(
     "argv,named",
     [

@@ -226,6 +226,18 @@ def test_rational_sigma_equals_the_per_entry_route_at_n_32(p):
         assert cov.entry(i, j) == want == cov.entry(j, i), (i, j)
 
 
+def test_rational_sigma_at_the_cap_equals_the_per_entry_route_at_both_ends_of_each_row():
+    n = 64
+    params = DesignParams(Fraction(501, 1000))
+    cov = sigma(n, params)
+    laws = {m: pmf_dn(m, params) for m in range(n)}
+    table = FirstVisitTable(params)
+    for i in range(1, n):
+        for j in sorted({i + 1, (i + 1 + n) // 2, n}):
+            want = 4 * joint_assignment(i, j, params, lambda m, k: laws[m].mass(k), table) - 1
+            assert cov.entry(i, j) == want == cov.entry(j, i), (i, j)
+
+
 @pytest.mark.parametrize("p", [0.5, 0.55, 0.95, 1.0])
 def test_row_sources_hold_at_the_float_size_cap(p):
     """The closed-form scan and the first-return recurrence stay accurate at
@@ -292,11 +304,13 @@ def test_float_first_returns_keep_the_scalar_loops_bits(n, p):
 @pytest.mark.parametrize("n", [1, 2, 3, 13, 32, 64])
 def test_rational_first_returns_equal_the_scalar_loop(n, p):
     params = DesignParams(p)
-    table, top = _first_returns(n, params)
-    assert type(top) is int and top == p.denominator ** (n - 1)
+    table, scale = _first_returns(n, params)
+    assert scale == [p.denominator**u for u in range(n)]
     assert table.shape == (n, n)
     assert all(type(x) is int for x in table.flat)
-    assert list(table.flat) == list(scalar_exact_first_returns(n, params).flat)
+    # column u is at its natural scale B^u; the oracle has every column at B^(n-1)
+    rescaled = table * np.array([p.denominator ** (n - 1 - u) for u in range(n)], dtype=object)
+    assert list(rescaled.flat) == list(scalar_exact_first_returns(n, params).flat)
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 import operator
+import random
 import sys
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from bcdexact.exact import (
     SCAN_N_MAX,
     StationaryDist,
     _dp_rows,
+    _integer_masses,
     _scaled_power,
     _two_sided_scan,
     asymptotic_var,
@@ -126,6 +128,35 @@ def test_exact_masses_equal_the_recurrence_up_to_the_rational_cap(p):
         masses = pmf_masses([(n, k) for k in ks], params)
         assert all(type(mass) is Fraction for mass in masses), n
         assert masses == [row[k] for k in ks], n
+
+
+INTEGER_PS = [Fraction(1, 2), Fraction(51, 100), Fraction(7, 10), Fraction(713, 1000),
+              Fraction(999, 1000), Fraction(1)]
+
+
+@pytest.mark.parametrize("p", INTEGER_PS, ids=str)
+def test_integer_masses_are_the_recurrence_times_their_scale(p):
+    # every (m, k) with m < 64, P(D_m = k) (2B)^m as an int
+    params = DesignParams(p)
+    points = [(m, k) for m in range(64) for k in range(m % 2, m + 1, 2)]
+    masses = _integer_masses(points, params)
+    assert all(type(mass) is int for mass in masses)
+    rows = list(_dp_rows(63, params))
+    assert masses == [rows[m][k] * (2 * p.denominator) ** m for m, k in points]
+
+
+@pytest.mark.parametrize("p", INTEGER_PS, ids=str)
+def test_points_that_share_a_horner_pass_keep_their_own_summand_counts(p):
+    # (10, 2), (12, 0), (9, 3) and (11, 1) all have a = 6 but need 5, 6, 4
+    # and 6 summands; (0, 0) is the empty walk and (5, 7) lies off the support
+    params = DesignParams(p)
+    points = [(10, 2), (12, 0), (9, 3), (11, 1), (0, 0), (5, 7)]
+    masses = pmf_masses(points, params)
+    assert masses == [pmf_masses([point], params)[0] for point in points]
+    assert masses == [dp_pmf_dn(n, params).mass(k) for n, k in points]
+    shuffled = [(n, k) for n in range(40) for k in range(-n, n + 1)]
+    random.Random(7).shuffle(shuffled)
+    assert pmf_masses(shuffled, params) == [pmf_at(n, k, params) for n, k in shuffled]
 
 
 @pytest.mark.parametrize("n", [1, 4, 7, 25, 60])
