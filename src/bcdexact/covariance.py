@@ -16,9 +16,10 @@ walk (toward balance with probability p, away with q):
 
     f_k(u) = (|k|/u) C(u, (u+|k|)/2) p^((u+|k|)/2) q^((u-|k|)/2)
 
-for u >= |k| of matching parity, else 0.  This is exactly the summand
+for u >= |k| of matching parity, else 0.  `first_visit` writes it out
+for a Fraction p.  For a float p it is exactly the summand
 l = (u-|k|)/2 of the closed form of P(D_{u+|k|} = 0) in `exact`, so
-`first_visit` reads it from `exact._term`.  Its float overflow guard stays
+`first_visit` reads it from `stable.term_value`, with its overflow guard
 at 4u for u steps, not the 4(u+|k|) of D_{u+|k|}.
 
 `sigma` builds each row from the law of D_{i-1} and a table of cumulative
@@ -51,7 +52,8 @@ from typing import Callable
 import numpy as np
 
 from .design import DesignParams, Number, transition_prob
-from .exact import _integer_masses, _term, _two_sided_scan, pmf_dn
+from .exact import _integer_masses, _two_sided_scan, pmf_dn
+from .stable import term_value
 
 __all__ = [
     "AssignmentCovariance",
@@ -87,7 +89,10 @@ def first_visit(k: int, steps: int, params: DesignParams) -> Number:
         return params.zero
     if params.q == 0 and steps > k:
         return params.zero
-    return params.sum([_term(steps + k, 0, (steps - k) // 2, params, steps)])
+    toward, away = (steps + k) // 2, (steps - k) // 2
+    if params.is_exact:
+        return Fraction(k, steps) * math.comb(steps, toward) * params.p**toward * params.q**away
+    return term_value(steps + k, 0, away, float(params.p), float(params.q), 4.0 * steps)
 
 
 class FirstVisitTable:

@@ -24,8 +24,6 @@ from functools import cached_property
 from numbers import Rational
 from typing import Iterable
 
-from .stable import TermValue, sum_term_values
-
 Number = float | Fraction
 
 
@@ -74,11 +72,11 @@ class DesignParams:
     def half(self) -> Number:
         return Fraction(1, 2) if self.is_exact else 0.5
 
-    def sum(self, values: Iterable[Number | TermValue]) -> Number:
-        """Exact from Fraction(0) for an exact p, else `stable.sum_term_values`."""
+    def sum(self, values: Iterable[Number]) -> Number:
+        """Exact from Fraction(0) for an exact p, else `math.fsum`."""
         if self.is_exact:
             return sum(values, start=Fraction(0))
-        return sum_term_values(values)
+        return math.fsum(values)
 
     @property
     def is_exact(self) -> bool:

@@ -18,12 +18,12 @@ integer evaluator, `_integer_masses`: every summand's ratio times
 binomial is a ballot number of a = (n + k)/2 alone, so one Horner pass
 per a, on ballot numbers taken each from the last, sums every mass of that
 a.  `pmf_masses` makes one Fraction per mass from it, and the rational
-rows of `covariance.sigma` read the ints directly.  A float p
-evaluates each summand in float64 through the guarded product kernel in
-`stable`, which replays the kernel on all the summands a call needs at
-once.  A forward recurrence on the same law (`dp_pmf_dn`) is kept as an
-independent cross-check route, on Fractions, and is never substituted for
-the closed form.
+rows of `covariance.sigma` read the ints directly.  A float p gets its
+masses from `stable.replay_masses`, which evaluates every summand a call
+needs through the guarded product kernel of `stable`.  A forward
+recurrence on the same law (`dp_pmf_dn`) is kept as an independent
+cross-check route, on Fractions, and is never substituted for the closed
+form.
 
 The absolute imbalance |D_n| is an ergodic birth-death chain whose
 stationary law pi has the geometric form pi_0 = (r-1)/(2r),
@@ -34,8 +34,6 @@ tolerance of that limit.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 import sys
 from collections import Counter
@@ -45,9 +43,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import stable
 from .design import DesignParams, Number
-from .stable import replay_term_products, stable_term_product
+from .stable import replay_masses
 
 __all__ = [
     "ImbalancePMF",
@@ -59,7 +56,6 @@ __all__ = [
     "pmf_masses",
     "steady_state_threshold",
     "steady_state_threshold_table",
-    "term_factors",
     "var_dn",
     "var_dns",
 ]
@@ -67,49 +63,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # closed-form point masses
-
-def term_factors(
-    n: int, k: int, l: int, params: DesignParams
-) -> tuple[list[float], list[float]]:
-    """Factor decomposition of the l-th summand of the closed form.
-
-    Returns (small, large): small factors lie in (0, 1] (probabilities,
-    reciprocals of 1..l, the leading ratio and the 1/2 for k > 0), large
-    factors are the binomial numerators (n+k)/2 + 1 .. (n+k)/2 + l.  For
-    k > 0 there are (n+k)/2 + 2l small factors; for k = 0 there are
-    n/2 + 2l.  Terms that are identically zero (q == 0 with a positive
-    q-power) must be skipped by the caller; a zero is not a valid factor.
-    """
-    p = float(params.p)
-    q = float(params.q)
-    if k > 0:
-        a = (n + k) // 2
-        small = [0.5, (n + k - 2 * l) / (n + k + 2 * l)]
-        small += [p] * ((n - k) // 2)
-        small += [q] * (k + l - 1)
-    else:
-        a = n // 2
-        small = [(n - 2 * l) / (n + 2 * l)]
-        small += [p] * (n // 2)
-        small += [q] * l
-    small += [1.0 / s for s in range(2, l + 1)]
-    large = [float(a + s) for s in range(1, l + 1)]
-    return small, large
-
-
-def _term(n: int, k: int, l: int, params: DesignParams, steps: int) -> Number:
-    """The l-th summand of P(D_n = k), k >= 0, in the arithmetic of p.
-
-    For a float p the guarded product of `term_factors` in the window
-    M = 4 steps (a FactoredProduct if it banks).  A Fraction p is asked
-    only for k = 0 (the first-return masses of `covariance.first_visit`;
-    rational laws sum in `_integer_masses`), and gets that summand exactly.
-    """
-    if not params.is_exact:
-        return stable_term_product(*term_factors(n, k, l, params), 4.0 * steps)
-    p, q = params.p, params.q
-    return Fraction(n - 2 * l, n + 2 * l) * math.comb(n // 2 + l, l) * p ** (n // 2) * q**l
-
 
 def _summand_count(n: int, k: int, q) -> int:
     """How many summands l of P(D_n = k), 0 <= k <= n of n's parity, can be
@@ -175,12 +128,10 @@ def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[
     """P(D_n = k) for each (n, k) of points, in order, from the closed form.
 
     A Fraction p = A/B sums every point in integers (`_integer_masses`) and
-    makes one Fraction of each, over (2B)^n.  A float p
-    replays the guarded kernel on the summands of whole points, at most
-    LANE_BATCH of them at a time (`_replayed_masses`), so its working set
-    stays bounded however many points a call asks for.  Every float mass
-    is the same float the kernel gives summand by summand in the window
-    M = 4n.
+    makes one Fraction of each, over (2B)^n.  A float p gets every mass
+    from `stable.replay_masses`: the same float the guarded kernel gives
+    summand by summand in the window M = 4n, in a working set bounded
+    however many points a call asks for.
     """
     masses: list = []
     wanted = []  # (index, n, k, summands)
@@ -203,53 +154,13 @@ def pmf_masses(points: Sequence[tuple[int, int]], params: DesignParams) -> list[
     index, n, k, counts = zip(*wanted)
     if params.is_exact:
         two_b = 2 * params.p.denominator
-        for i, nj, mass in zip(index, n, _integer_masses(list(zip(n, k)), params)):
-            masses[i] = Fraction(mass, two_b**nj)
-        return masses
-    # whole points, in the fewest chunks of at most LANE_BATCH summands,
-    # each filled up to about an equal share of the call's summands
-    chunks = max(-(-sum(counts) // stable.LANE_BATCH), 1)
-    share = -(-sum(counts) // chunks)
-    start = 0
-    while start < len(index):
-        stop, lanes = start + 1, counts[start]
-        while (stop < len(index) and lanes < share
-               and lanes + counts[stop] <= stable.LANE_BATCH):
-            lanes += counts[stop]
-            stop += 1
-        chunk = slice(start, stop)
-        found = _replayed_masses(n[chunk], k[chunk], counts[chunk], params)
-        for i, mass in zip(index[chunk], found):
-            masses[i] = mass
-        start = stop
+        found = [Fraction(mass, two_b**nj)
+                 for nj, mass in zip(n, _integer_masses(list(zip(n, k)), params))]
+    else:
+        found = replay_masses(n, k, counts, float(params.p), float(params.q))
+    for i, mass in zip(index, found):
+        masses[i] = mass
     return masses
-
-
-def _replayed_masses(n, k, counts, params: DesignParams) -> list[float]:
-    """P(D_n[j] = k[j]) from one replay of summands l < counts[j] of each point.
-
-    The few summands that bank under the underflow guard are re-run
-    through `_term`, and `sum_term_values` adds each point's values; where
-    none banks, that sum is the fsum of the replayed floats.
-    """
-    bounds = [0, *itertools.accumulate(counts)]
-    # the lane arrays are passed, not kept: the replay holds the only copy
-    values = replay_term_products(
-        np.repeat(n, counts),
-        np.repeat(k, counts),
-        np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts),  # l
-        float(params.p),
-        float(params.q),
-        np.repeat([4.0 * m for m in n], counts),
-    )
-    banked = np.flatnonzero(values < stable.UNDERFLOW_GUARD).tolist()
-    if not banked:
-        return [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
-    terms = values.tolist()
-    for lane in banked:
-        j = bisect.bisect_right(bounds, lane) - 1
-        terms[lane] = _term(n[j], k[j], lane - bounds[j], params, n[j])
-    return [stable.sum_term_values(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
 @dataclass(frozen=True)

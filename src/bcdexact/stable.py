@@ -1,4 +1,4 @@
-"""Overflow/underflow-guarded evaluation of long products of factors.
+"""Overflow/underflow-guarded evaluation of the closed forms' float summands.
 
 Closed-form imbalance probabilities are sums of terms like
 
@@ -20,18 +20,20 @@ us interleave the two so the running product stays inside a fixed window:
 
 When step 6 banks partial products the value is returned as a
 FactoredProduct, a list of sub-products whose true value is their product;
-downstream sums rescale these instead of collapsing them to 0.0.
+`sum_term_values` rescales these instead of collapsing them to 0.0.
 
-`replay_term_products` runs the same multiplies for many terms at once,
-one numpy lane per term, in batches of lanes sorted by their multiply
-count, each step running only on the lanes not yet finished.  It is the
-route the closed forms take for a float p; `stable_term_product` is its
-per-term reference and its fallback.  `sum_term_values`, which adds
-such terms, is the float `DesignParams.sum`.
+Every float summand is evaluated here, and its callers get floats.
+`replay_masses` gives masses P(D_n = k): it replays `stable_term_product`
+on the `term_factors` of all their summands at once, one numpy lane each
+(`replay_term_products`), re-runs the few that bank and sums each point.
+`term_value` gives one summand in a given window, a banked one collapsed;
+`covariance.first_visit` reads its first-return masses from it.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -154,6 +156,92 @@ def stable_term_product(
     return prod
 
 
+def term_factors(n: int, k: int, l: int, p: float, q: float) -> tuple[list[float], list[float]]:
+    """Factor decomposition of the l-th summand of P(D_n = k), k >= 0.
+
+    Returns (small, large): small factors lie in (0, 1] (probabilities,
+    reciprocals of 1..l, the leading ratio and the 1/2 for k > 0), large
+    factors are the binomial numerators (n+k)/2 + 1 .. (n+k)/2 + l.  For
+    k > 0 there are (n+k)/2 + 2l small factors; for k = 0 there are
+    n/2 + 2l.  Terms that are identically zero (q == 0 with a positive
+    q-power) must be skipped by the caller; a zero is not a valid factor.
+    """
+    if k > 0:
+        a = (n + k) // 2
+        small = [0.5, (n + k - 2 * l) / (n + k + 2 * l)]
+        small += [p] * ((n - k) // 2)
+        small += [q] * (k + l - 1)
+    else:
+        a = n // 2
+        small = [(n - 2 * l) / (n + 2 * l)]
+        small += [p] * (n // 2)
+        small += [q] * l
+    small += [1.0 / s for s in range(2, l + 1)]
+    large = [float(a + s) for s in range(1, l + 1)]
+    return small, large
+
+
+def term_value(n: int, k: int, l: int, p: float, q: float, big: float) -> float:
+    """The l-th summand of P(D_n = k), guarded at M = big, a banked
+    product collapsed to one float."""
+    value = stable_term_product(*term_factors(n, k, l, p, q), big)
+    if isinstance(value, FactoredProduct):
+        return math.ldexp(*value.frexp())
+    return value
+
+
+def replay_masses(
+    n: Sequence[int], k: Sequence[int], counts: Sequence[int], p: float, q: float
+) -> list[float]:
+    """P(D_n[j] = k[j]) from summands l < counts[j] of each point j, each
+    guarded at M = 4 n[j]; a mass is the float `sum_term_values` gives on
+    the scalar kernel's summands.  Whole points replay in the fewest chunks
+    of at most LANE_BATCH summands, each filled to about an equal share of
+    the call's summands, so the working set stays bounded however many
+    points a call asks for.
+    """
+    chunks = max(-(-sum(counts) // LANE_BATCH), 1)
+    share = -(-sum(counts) // chunks)
+    masses: list[float] = []
+    start = 0
+    while start < len(n):
+        stop, lanes = start + 1, counts[start]
+        while stop < len(n) and lanes < share and lanes + counts[stop] <= LANE_BATCH:
+            lanes += counts[stop]
+            stop += 1
+        masses += _replayed_masses(n[start:stop], k[start:stop], counts[start:stop], p, q)
+        start = stop
+    return masses
+
+
+def _replayed_masses(n, k, counts, p: float, q: float) -> list[float]:
+    """`replay_masses` of one chunk, from one replay of its summands.
+
+    The few summands that bank under the underflow guard are re-run
+    through `stable_term_product`, and `sum_term_values` adds each point's
+    values; where none banks, that sum is the fsum of the replayed floats.
+    """
+    bounds = [0, *itertools.accumulate(counts)]
+    # the lane arrays are passed, not kept: the replay holds the only copy
+    values = replay_term_products(
+        np.repeat(n, counts),
+        np.repeat(k, counts),
+        np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts),  # l
+        p,
+        q,
+        np.repeat([4.0 * m for m in n], counts),
+    )
+    banked = np.flatnonzero(values < UNDERFLOW_GUARD).tolist()
+    if not banked:
+        return [math.fsum(values[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+    terms = values.tolist()
+    for lane in banked:
+        j = bisect.bisect_right(bounds, lane) - 1
+        factors = term_factors(n[j], k[j], lane - bounds[j], p, q)
+        terms[lane] = stable_term_product(*factors, 4.0 * n[j])
+    return [sum_term_values(terms[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 def replay_term_products(
     n: np.ndarray,
     k: np.ndarray,
@@ -165,7 +253,7 @@ def replay_term_products(
     """The guarded product of many closed-form summands, one numpy lane each.
 
     Lane i is the l-th summand of P(D_n = k) for k >= 0, whose factors
-    `exact.term_factors` lists: large factors a+1 .. a+l with a = (n+k)/2;
+    `term_factors` lists: large factors a+1 .. a+l with a = (n+k)/2;
     small factors 1/2 .. 1/l, the ratio (n+k-2l)/(n+k+2l), a 1/2 when
     k > 0, p^((n-k)/2) and q^(k+l-1) (q^l when k = 0).  big[i] is its
     overflow guard M, and p >= 1/2 >= q.  Every lane makes the multiplies
@@ -173,8 +261,8 @@ def replay_term_products(
     rounds as a Python one does, so a lane equals the kernel's result bit
     for bit where that is a float.  The kernel banks only when a tail
     product falls under the underflow guard, and tail products only
-    shrink, so a lane that would bank ends under the guard: the caller
-    re-runs every lane that does through `stable_term_product`.
+    shrink, so a lane that would bank ends under the guard, and
+    `_replayed_masses` re-runs every lane that does through the kernel.
     """
     n, k, l, big = (np.asarray(x, dtype=float) for x in (n, k, l, big))
     # a lane's multiply count: l large factors, l - 1 harmonics and
@@ -308,10 +396,7 @@ def _segment_table(n, k, l, p, q) -> tuple[np.ndarray, np.ndarray]:
     return values, bounds
 
 
-TermValue = float | FactoredProduct
-
-
-def sum_term_values(terms: Iterable[TermValue]) -> float:
+def sum_term_values(terms: Iterable[float | FactoredProduct]) -> float:
     """Sum of term values, rescaling any factored ones before adding.
 
     With no factored terms this is an fsum.  Otherwise every term is put on

@@ -3,7 +3,9 @@ exported, and every name the benchmark harness imports resolves, so a
 deleted helper it needs fails here and not only in a benchmark run; the
 harness's own check passes on `simulate` output, so a broken oracle or
 walk fails here too.  No package module imports a thread or process pool,
-so concurrency cannot come back without a change to this file."""
+so concurrency cannot come back without a change to this file; no module
+but `stable` names the float summand's internals, and `design` imports no
+package module."""
 
 import ast
 import importlib
@@ -109,3 +111,44 @@ def test_no_package_module_starts_threads_or_processes():
     assert ("simulate.py", "numpy") in imported
     banned = {"threading", "_thread", "concurrent", "multiprocessing"}
     assert [(path, module) for path, module in imported if module in banned] == []
+
+
+# the float summand's internals: every float summand is evaluated in stable.py
+SUMMAND_INTERNALS = {"FactoredProduct", "stable_term_product", "sum_term_values", "term_factors",
+                     "replay_term_products", "LANE_BATCH", "UNDERFLOW_GUARD"}
+
+
+def identifiers(tree):
+    """Every name a module binds, reads or imports, but not its strings."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from filter(None, (node.name, node.asname))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+
+
+def test_only_stable_names_the_float_summand_s_internals():
+    named = []  # (file, name) of each use outside stable.py
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "stable.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "__init__.py":  # its re-exports from stable may name them
+            tree.body = [node for node in tree.body
+                         if not (isinstance(node, ast.ImportFrom) and node.module == "stable")]
+        named += [(path.name, name) for name in identifiers(tree) if name in SUMMAND_INTERNALS]
+    assert sorted(set(named)) == []
+
+
+def test_design_imports_no_package_module():
+    tree = ast.parse((PACKAGE / "design.py").read_text(encoding="utf-8"))
+    imported = [node.module if node.level == 0 else "bcdexact" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert "math" in imported
+    assert [module for module in imported if module.split(".")[0] == "bcdexact"] == []

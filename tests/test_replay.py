@@ -12,17 +12,17 @@ import tracemalloc
 
 import pytest
 
-import bcdexact.exact
 import bcdexact.stable
 from bcdexact.bias import selection_bias_report, selection_bias_reports
 from bcdexact.design import DesignParams
-from bcdexact.exact import pmf_at, pmf_dn, pmf_masses, term_factors, var_dns
+from bcdexact.exact import pmf_at, pmf_dn, pmf_masses, var_dns
 from bcdexact.stable import (
     UNDERFLOW_GUARD,
     FactoredProduct,
     replay_term_products,
     stable_term_product,
     sum_term_values,
+    term_factors,
 )
 
 
@@ -33,12 +33,12 @@ def per_term_mass(n, k, params):
         return 0.0
     if n == 0:
         return 1.0
-    q = float(params.q)
+    p, q = float(params.p), float(params.q)
     values = []
     for l in range((n - k) // 2 + 1 if k > 0 else n // 2):
         if q == 0.0 and (k + l - 1 if k > 0 else l) > 0:
             continue
-        small, large = term_factors(n, k, l, params)
+        small, large = term_factors(n, k, l, p, q)
         values.append(stable_term_product(small, large, 4.0 * n))
     return sum_term_values(values)
 
@@ -73,8 +73,8 @@ def banked_lanes(n, params):
     count = 0
     for k in range(n % 2, n + 1, 2):
         for l in range((n - k) // 2 + 1 if k > 0 else n // 2):
-            if isinstance(stable_term_product(*term_factors(n, k, l, params), 4.0 * n),
-                          FactoredProduct):
+            factors = term_factors(n, k, l, float(params.p), float(params.q))
+            if isinstance(stable_term_product(*factors, 4.0 * n), FactoredProduct):
                 count += 1
     return count
 
@@ -90,8 +90,8 @@ def test_a_law_split_over_lane_batches_equals_one_batch(monkeypatch):
     points = [(n, k) for n in (57, 120) for k in range(n % 2, n + 1, 2)]
     summands = sum((n - k) // 2 + 1 if k else n // 2 for n, k in points)
     calls = []
-    replay = bcdexact.exact.replay_term_products
-    monkeypatch.setattr(bcdexact.exact, "replay_term_products",
+    replay = bcdexact.stable.replay_term_products
+    monkeypatch.setattr(bcdexact.stable, "replay_term_products",
                         lambda *args: calls.append(len(args[0])) or replay(*args))
     monkeypatch.setattr(bcdexact.stable, "LANE_BATCH", 1 << 20)
     whole = pmf_masses(points, params)
@@ -138,7 +138,7 @@ def test_selection_bias_report_reads_every_balance_from_the_batch():
 
 
 def kernel(n, k, l, p, big):
-    small, large = term_factors(n, k, l, DesignParams(p))
+    small, large = term_factors(n, k, l, p, 1.0 - p)
     return stable_term_product(small, large, big)
 
 
@@ -181,11 +181,11 @@ def test_small_calls_replay_with_the_per_term_bits(monkeypatch):
     points = [(n, k) for n in (1, 2, 3, 8, 40, 41, 80, 150) for k in (0, 1, 2, 5, n)]
     cases = [DesignParams(p) for p in (0.5, 0.501, 0.7, 0.999, 1.0)]
     calls = []
-    monkeypatch.setattr(bcdexact.exact, "replay_term_products",
+    monkeypatch.setattr(bcdexact.stable, "replay_term_products",
                         lambda *args: calls.append(1) or replay_term_products(*args))
     # one of these summands banks: the only one of P(D_150 = 150) at
     # p = 0.999, about q^149 = 1e-447
-    assert isinstance(stable_term_product(*term_factors(150, 150, 0, DesignParams(0.999)),
+    assert isinstance(stable_term_product(*term_factors(150, 150, 0, 0.999, 1.0 - 0.999),
                                           600.0), FactoredProduct)
     for params in cases:
         for n, k in points:
